@@ -14,6 +14,9 @@
 //! 3. **Quiescent thermal transparency** — a single-cluster topology
 //!    under a quiescent [`ThermalEnvelope`] is bit-identical to the
 //!    plain [`Device`] baseline: same interactions, same activity trace.
+//! 4. **big.LITTLE golden** — a `mini` run on the big.LITTLE topology,
+//!    with migration, a big pin and thermal trips, rendered as CSV and
+//!    held byte for byte against `tests/golden/big_little.csv`.
 
 use interlag_device::cluster::{ClusterDevice, ClusterDeviceConfig, ClusterTopology};
 use interlag_device::device::{CaptureMode, Device, DeviceConfig};
@@ -183,4 +186,88 @@ fn quiescent_thermal_off_is_bit_identical_to_the_single_cluster_baseline() {
     assert_eq!(run.activity[0], baseline.activity, "activity trace must be bit-identical");
     assert_eq!(run.migrations, 0);
     assert_eq!(envelope.trips(), 0, "a quiescent envelope never trips");
+}
+
+/// FNV-1a over every merged activity sample: pins the whole per-cluster
+/// trace, not just its totals.
+fn trace_digest(trace: &interlag_power::energy::ActivityTrace) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for s in trace.samples() {
+        let words = [
+            s.start.as_micros(),
+            s.duration.as_micros(),
+            u64::from(s.freq.as_khz()),
+            s.busy.as_micros(),
+        ];
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Pins a big.LITTLE run of the `mini` dataset bit for bit: background
+/// work, ticks, spinners and I/O waits on both clusters, migration, a
+/// foreground pin to big and thermal trips on the big cluster, under
+/// each load-driven governor family.
+#[test]
+fn big_little_mini_run_matches_golden() {
+    use interlag_governors::{Ondemand, Schedutil};
+    use std::fmt::Write;
+
+    let workload = interlag_workloads::Dataset::Mini.build();
+    let trace = workload.script.record_trace();
+    let until = workload.run_until();
+    let topology = ClusterTopology::big_little();
+    let little_table = topology.clusters()[0].opps.clone();
+    let big_table = topology.clusters()[1].opps.clone();
+
+    let mut csv = String::from("governor,row,key,value\n");
+    for family in ["interactive", "ondemand", "schedutil"] {
+        let make = |table: &OppTable| -> Box<dyn interlag_device::dvfs::Governor> {
+            match family {
+                "interactive" => Box::new(Interactive::for_table(table)),
+                "ondemand" => Box::new(Ondemand::default()),
+                _ => Box::new(Schedutil::default()),
+            }
+        };
+        let mut config = ClusterDeviceConfig::new(topology.clone());
+        config.pins = vec![(0, 1)]; // the app launch runs on big
+        let device = ClusterDevice::new(config);
+        let mut little = make(&little_table);
+        let mut big_inner = make(&big_table);
+        // `mini` is too short to exhaust the stock 2 s heat budget; a
+        // 50 ms budget trips the cap on every governor.
+        let thermal = ThermalFaults {
+            budget: SimDuration::from_millis(50),
+            ..ThermalFaults::for_table(&big_table)
+        };
+        let mut big = ThermalEnvelope::new(big_inner.as_mut(), thermal);
+        let run = device
+            .run(
+                &workload.script,
+                ReplayAgent::new(trace.clone()),
+                &mut [little.as_mut(), &mut big],
+                until,
+            )
+            .expect("clean run");
+
+        for rec in &run.interactions {
+            let service = rec.service_time.map_or("-".to_string(), |t| t.as_micros().to_string());
+            writeln!(csv, "{family},interaction,{},{service}", rec.id).unwrap();
+        }
+        for (ci, activity) in run.activity.iter().enumerate() {
+            let name = &topology.clusters()[ci].name;
+            writeln!(csv, "{family},{name},samples,{}", activity.samples().len()).unwrap();
+            writeln!(csv, "{family},{name},busy_us,{}", activity.busy_time().as_micros()).unwrap();
+            for (freq, busy) in activity.busy_by_freq() {
+                writeln!(csv, "{family},{name},busy_us@{},{}", freq.as_khz(), busy.as_micros())
+                    .unwrap();
+            }
+            writeln!(csv, "{family},{name},digest,{:016x}", trace_digest(activity)).unwrap();
+        }
+        writeln!(csv, "{family},run,migrations,{}", run.migrations).unwrap();
+        writeln!(csv, "{family},run,trips,{}", big.trips()).unwrap();
+    }
+    interlag_conformance::assert_matches_golden("big_little.csv", &csv);
 }
