@@ -1,4 +1,4 @@
-//! The heterogeneous big.LITTLE device and its execution loop.
+//! The heterogeneous big.LITTLE device.
 //!
 //! The paper's testbed is a single active Krait core, but the phones that
 //! followed it are heterogeneous: clusters of efficiency and performance
@@ -10,29 +10,28 @@
 //! pinned cluster, and an HMP-style [`MigrationModel`] moves unpinned
 //! tasks up and down on the per-cluster load signal.
 //!
-//! The load-bearing invariant, pinned by tests here and in the
-//! conformance suite: a [`ClusterTopology::single`] run is **bit-identical**
-//! (interactions and activity trace) to [`Device::run`] with capture off —
-//! the heterogeneous loop is the single-core loop, generalised, not a
-//! second implementation of the device semantics. Thermal pressure is not
-//! modelled here: wrap the big cluster's governor in the `interlag-faults`
-//! thermal envelope, which composes through the [`Governor`] trait.
+//! This module holds the topology, migration model and configuration; the
+//! quantum loop itself lives in [`crate::device`] and is the one
+//! [`Device`] runs. A [`ClusterTopology::single`] run is therefore
+//! **bit-identical** (interactions and activity trace) to [`Device::run`]
+//! with capture off, which tests here and in the conformance suite pin.
+//! Thermal pressure is not modelled here: wrap the big cluster's governor
+//! in the `interlag-faults` thermal envelope, which composes through the
+//! [`Governor`] trait.
 
-use std::collections::VecDeque;
-
-use interlag_evdev::mt::MtDecoder;
 use interlag_evdev::replay::{ReplayStats, Replayer};
 use interlag_evdev::time::{SimDuration, SimTime};
 use interlag_journal::CancelToken;
-use interlag_power::energy::{ActivitySample, ActivityTrace};
-use interlag_power::opp::{Frequency, OppTable};
+use interlag_power::energy::ActivityTrace;
+use interlag_power::opp::OppTable;
 
-use crate::device::{Device, InteractionRecord, CANCEL_STRIDE};
-use crate::dvfs::{Governor, LoadSample};
+use crate::device::{run_quanta, DeviceConfig, InteractionRecord};
+use crate::dvfs::Governor;
 use crate::error::DeviceError;
-use crate::scene::Scene;
 use crate::script::DeviceScript;
-use crate::task::{Task, TaskKind, TaskSpec};
+
+#[cfg(doc)]
+use crate::device::{Device, CANCEL_STRIDE};
 
 /// One CPU cluster: a name, its core count and its OPP table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,22 +143,23 @@ pub struct ClusterDeviceConfig {
 }
 
 impl ClusterDeviceConfig {
-    /// Defaults matching [`crate::device::DeviceConfig`] on the given
-    /// topology: 1 ms quantum, the same input and render costs, no pins.
+    /// [`DeviceConfig::default`]'s quantum and input and render costs on
+    /// the given topology, with no pins.
     pub fn new(topology: ClusterTopology) -> Self {
+        let device = DeviceConfig::default();
         ClusterDeviceConfig {
             topology,
             migration: MigrationModel::default(),
-            quantum: SimDuration::from_millis(1),
-            input_cost_cycles: 150_000,
-            ui_render_cycles: 8_000_000,
+            quantum: device.quantum,
+            input_cost_cycles: device.input_cost_cycles,
+            ui_render_cycles: device.ui_render_cycles,
             pins: Vec::new(),
         }
     }
 
     /// The cluster an interaction's foreground task is pinned to
     /// (cluster 0 when unpinned), clamped onto the topology.
-    fn pin_of(&self, id: usize) -> usize {
+    pub(crate) fn pin_of(&self, id: usize) -> usize {
         self.pins
             .iter()
             .find(|(i, _)| *i == id)
@@ -185,19 +185,6 @@ pub struct ClusterRunArtifacts {
     pub migrations: u64,
     /// When the run ended.
     pub end_time: SimTime,
-}
-
-/// Mutable per-cluster execution state.
-struct ClusterState {
-    freq: Frequency,
-    fg: VecDeque<Task>,
-    bg: VecDeque<Task>,
-    activity: ActivityTrace,
-    busy_acc: SimDuration,
-    last_sample_at: SimTime,
-    next_sample_at: SimTime,
-    parked: Vec<(SimTime, Task)>,
-    mig_busy: SimDuration,
 }
 
 /// The simulated heterogeneous phone.
@@ -295,347 +282,30 @@ impl ClusterDevice {
     pub fn run_cancellable<R: Replayer>(
         &self,
         script: &DeviceScript,
-        mut replayer: R,
+        replayer: R,
         governors: &mut [&mut dyn Governor],
         until: SimTime,
         cancel: &CancelToken,
     ) -> Result<ClusterRunArtifacts, DeviceError> {
-        let cfg = &self.config;
-        let clusters = cfg.topology.clusters();
-        let n = clusters.len();
-        assert_eq!(governors.len(), n, "one governor per cluster");
-        let quantum = cfg.quantum;
-
-        // --- state: per-cluster CPUs -------------------------------------
-        let mut cs: Vec<ClusterState> = clusters
-            .iter()
-            .zip(governors.iter_mut())
-            .map(|(spec, g)| {
-                let freq = spec.opps.quantize_up(g.init(&spec.opps));
-                ClusterState {
-                    freq,
-                    fg: VecDeque::new(),
-                    bg: VecDeque::new(),
-                    activity: ActivityTrace::new(),
-                    busy_acc: SimDuration::ZERO,
-                    last_sample_at: SimTime::ZERO,
-                    next_sample_at: SimTime::ZERO + g.sample_period(),
-                    parked: Vec::new(),
-                    mig_busy: SimDuration::ZERO,
-                }
-            })
-            .collect();
-
-        // --- state: UI ----------------------------------------------------
-        let mut scene = Scene::default();
-        let mut spinner_frame = 0u64;
-        let mut next_render_spawn = SimTime::ZERO;
-
-        // --- state: input dispatch ----------------------------------------
-        let mut decoder = MtDecoder::new();
-        let mut input_faults = 0usize;
-        let mut next_interaction = 0usize;
-        let mut interactions: Vec<InteractionRecord> = script
-            .interactions
-            .iter()
-            .enumerate()
-            .map(|(id, spec)| InteractionRecord {
-                id,
-                label: spec.label.clone(),
-                input_time: spec.start,
-                category: spec.category,
-                spurious: spec.is_spurious(),
-                triggered: false,
-                service_time: None,
-            })
-            .collect();
-
-        // --- state: scripted background work ------------------------------
-        let mut next_bg = 0usize;
-        let mut next_tick_at = script.tick.map(|_| SimTime::ZERO + quantum);
-
-        // --- state: I/O waits and migration -------------------------------
-        let mut pending_updates: Vec<(SimTime, crate::scene::SceneUpdate, TaskKind, bool)> =
-            Vec::new();
-        let mut migrations = 0u64;
-        let mut next_mig_at = SimTime::ZERO + cfg.migration.eval_period;
-
-        let mut now = SimTime::ZERO;
-        let mut quanta = 0u64;
-        while now < until {
-            if quanta.is_multiple_of(CANCEL_STRIDE) && cancel.is_cancelled() {
-                return Err(DeviceError::Cancelled);
-            }
-            quanta += 1;
-            let qend = now + quantum;
-
-            // 1. Deliver input events due by `now`. Every cluster governor
-            // sees the input hook, as a cpufreq input notifier fans out to
-            // every policy.
-            for te in replayer.poll(now) {
-                for (ci, g) in governors.iter_mut().enumerate() {
-                    let opps = &clusters[ci].opps;
-                    if let Some(f) = g.on_input(te.time, opps) {
-                        cs[ci].freq = opps.quantize_up(f);
-                    }
-                }
-                if te.event.is_syn_report() && cfg.input_cost_cycles > 0 {
-                    cs[0].bg.push_back(Task::new(
-                        TaskSpec::single(cfg.input_cost_cycles, crate::scene::SceneUpdate::Nop),
-                        TaskKind::Background,
-                    ));
-                }
-                for trigger in Device::triggers(&mut decoder, &te, &mut input_faults) {
-                    let target = cfg.pin_of(next_interaction);
-                    Device::dispatch(
-                        script,
-                        &mut interactions,
-                        &mut next_interaction,
-                        &mut cs[target].fg,
-                        te.time,
-                        trigger,
-                    );
-                }
-            }
-
-            // 2. Spawn scripted background work (cluster 0: background
-            // work starts on the efficiency cluster and migrates up).
-            while next_bg < script.background.len() && script.background[next_bg].start <= now {
-                cs[0].bg.push_back(Task::new(
-                    TaskSpec::single(
-                        script.background[next_bg].cycles,
-                        crate::scene::SceneUpdate::Nop,
-                    ),
-                    TaskKind::Background,
-                ));
-                next_bg += 1;
-            }
-
-            // 3. Periodic system tick, also on cluster 0.
-            if let (Some(tick), Some(due)) = (script.tick, next_tick_at.as_mut()) {
-                while *due <= now {
-                    cs[0].bg.push_back(Task::new(
-                        TaskSpec::single(tick.cycles, crate::scene::SceneUpdate::Nop),
-                        TaskKind::Background,
-                    ));
-                    *due += tick.period;
-                }
-            }
-
-            // 3b. Animation render passes, pinned to cluster 0's UI thread.
-            if scene.spinner {
-                while next_render_spawn <= now {
-                    let pending =
-                        cs[0].fg.iter().filter(|t| t.kind() == TaskKind::UiRender).count();
-                    if pending < 2 {
-                        cs[0].fg.push_back(Task::new(
-                            TaskSpec::single(
-                                (cfg.ui_render_cycles + scene.animation_load).max(1),
-                                crate::scene::SceneUpdate::Nop,
-                            ),
-                            TaskKind::UiRender,
-                        ));
-                    }
-                    next_render_spawn += crate::render::SPINNER_FRAME_PERIOD;
-                }
-            } else if next_render_spawn <= now {
-                next_render_spawn = now + crate::render::SPINNER_FRAME_PERIOD;
-            }
-
-            // 3c. Task migration on the per-cluster load signal. Inert
-            // with one cluster, so the single topology stays bit-identical
-            // to the single-core device.
-            if n > 1 && qend >= next_mig_at {
-                let loads: Vec<f64> = cs
-                    .iter()
-                    .map(|s| {
-                        LoadSample { busy: s.mig_busy, window: cfg.migration.eval_period }
-                            .load_percent()
-                    })
-                    .collect();
-                // Down-migrations first: an idle bigger cluster drains
-                // before the up pass refills it, so a task up-migrated in
-                // this round is never bounced straight back by the same
-                // round's stale load snapshot.
-                for ci in (1..n).rev() {
-                    if loads[ci] <= cfg.migration.down_threshold {
-                        migrations += u64::from(Self::migrate(&mut cs, ci, ci - 1, &cfg.pins));
-                    }
-                }
-                for (ci, &load) in loads.iter().enumerate().take(n - 1) {
-                    if load >= cfg.migration.up_threshold {
-                        migrations += u64::from(Self::migrate(&mut cs, ci, ci + 1, &cfg.pins));
-                    }
-                }
-                for s in cs.iter_mut() {
-                    s.mig_busy = SimDuration::ZERO;
-                }
-                next_mig_at = qend + cfg.migration.eval_period;
-            }
-
-            // 4a. Resume tasks whose I/O wait has elapsed, per cluster.
-            for s in cs.iter_mut() {
-                if s.parked.is_empty() {
-                    continue;
-                }
-                s.parked.sort_by_key(|(at, _)| *at);
-                while s.parked.first().is_some_and(|(at, _)| *at <= now) {
-                    let (_, task) = s.parked.remove(0);
-                    match task.kind() {
-                        TaskKind::Foreground { .. } | TaskKind::UiRender => s.fg.push_front(task),
-                        TaskKind::Background => s.bg.push_front(task),
-                    }
-                }
-            }
-
-            // 4b. Apply scene updates whose I/O wait has elapsed (shared).
-            if !pending_updates.is_empty() {
-                pending_updates.sort_by_key(|(at, ..)| *at);
-                while pending_updates.first().is_some_and(|(at, ..)| *at <= qend) {
-                    let (at, update, kind, task_finished) = pending_updates.remove(0);
-                    scene.apply(&update);
-                    if task_finished {
-                        if let TaskKind::Foreground { id } = kind {
-                            if let Some(rec) = interactions.get_mut(id) {
-                                rec.service_time = Some(at.max(now));
-                            }
-                        }
-                    }
-                }
-            }
-
-            // 4c + 5. Execute and account the quantum on every cluster, in
-            // cluster order.
-            for s in cs.iter_mut() {
-                let budget = s.freq.cycles_in(quantum);
-                let khz = s.freq.as_khz() as u64;
-                let mut consumed = 0u64;
-                while consumed < budget {
-                    let from_fg = !s.fg.is_empty();
-                    let queue = if from_fg { &mut s.fg } else { &mut s.bg };
-                    let Some(task) = queue.front_mut() else { break };
-                    let before = consumed;
-                    let (c, completions) = task.advance(budget - consumed);
-                    consumed += c;
-                    let finished = task.is_finished();
-                    let blocked = Task::blocked_after(&completions);
-                    let mut block_at = SimTime::ZERO;
-                    for comp in completions {
-                        let at = before + comp.at_consumed_cycles;
-                        let ts = now + SimDuration::from_micros((at * 1_000).div_ceil(khz));
-                        if comp.wait.is_zero() {
-                            scene.apply(&comp.update);
-                            match comp.kind {
-                                TaskKind::Foreground { id } if comp.task_finished => {
-                                    if let Some(rec) = interactions.get_mut(id) {
-                                        rec.service_time = Some(ts.min(qend));
-                                    }
-                                }
-                                TaskKind::UiRender if comp.task_finished => {
-                                    spinner_frame += 1;
-                                }
-                                _ => {}
-                            }
-                        } else {
-                            let visible_at = ts.min(qend) + comp.wait;
-                            block_at = visible_at;
-                            pending_updates.push((
-                                visible_at,
-                                comp.update,
-                                comp.kind,
-                                comp.task_finished,
-                            ));
-                        }
-                    }
-                    if finished {
-                        queue.pop_front();
-                    } else if blocked.is_some() {
-                        if let Some(task) = queue.pop_front() {
-                            s.parked.push((block_at, task));
-                        }
-                    } else if c == 0 {
-                        break; // cannot happen, but never spin
-                    }
-                }
-                let busy = if consumed >= budget {
-                    quantum
-                } else {
-                    SimDuration::from_micros(consumed * 1_000 / khz).min(quantum)
-                };
-                s.activity.push(ActivitySample {
-                    start: now,
-                    duration: quantum,
-                    freq: s.freq,
-                    busy,
-                });
-                s.busy_acc += busy;
-                s.mig_busy += busy;
-            }
-
-            // 6. Governor sampling, per cluster.
-            for (ci, g) in governors.iter_mut().enumerate() {
-                let s = &mut cs[ci];
-                if qend >= s.next_sample_at {
-                    let window = qend - s.last_sample_at;
-                    let sample = LoadSample { busy: s.busy_acc, window };
-                    s.freq = clusters[ci].opps.quantize_up(g.on_sample(
-                        qend,
-                        sample,
-                        &clusters[ci].opps,
-                    ));
-                    s.busy_acc = SimDuration::ZERO;
-                    s.last_sample_at = qend;
-                    s.next_sample_at = qend + g.sample_period();
-                }
-            }
-
-            now = qend;
-        }
-
-        let _ = spinner_frame;
-        Ok(ClusterRunArtifacts {
-            governor_names: governors.iter().map(|g| g.name().to_string()).collect(),
-            activity: cs.iter().map(|s| s.activity.clone()).collect(),
-            interactions,
-            replay: replayer.stats(),
-            input_faults,
-            migrations,
-            end_time: now,
-        })
-    }
-
-    /// Moves the oldest migratable task from cluster `from` to cluster
-    /// `to`; `true` if a task moved. Background work migrates first;
-    /// foreground work migrates unless pinned; UI render passes never do.
-    fn migrate(cs: &mut [ClusterState], from: usize, to: usize, pins: &[(usize, usize)]) -> bool {
-        if let Some(task) = cs[from].bg.pop_front() {
-            cs[to].bg.push_back(task);
-            return true;
-        }
-        let movable = cs[from].fg.front().is_some_and(|t| match t.kind() {
-            TaskKind::Foreground { id } => !pins.iter().any(|(i, _)| *i == id),
-            _ => false,
-        });
-        if movable {
-            if let Some(task) = cs[from].fg.pop_front() {
-                cs[to].fg.push_back(task);
-                return true;
-            }
-        }
-        false
+        let disabled = &interlag_obs::DISABLED;
+        let (run, _) =
+            run_quanta(&self.config, disabled, script, replayer, governors, until, None, cancel)?;
+        Ok(run)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{CaptureMode, DeviceConfig};
+    use crate::device::{CaptureMode, Device};
     use crate::dvfs::FixedGovernor;
-    use crate::scene::SceneUpdate;
+    use crate::scene::{Scene, SceneUpdate};
     use crate::script::{BackgroundWork, InteractionCategory, InteractionSpec, PeriodicTick};
+    use crate::task::TaskSpec;
     use interlag_evdev::gesture::Gesture;
     use interlag_evdev::mt::Point;
     use interlag_evdev::replay::ReplayAgent;
+    use interlag_power::opp::Frequency;
     use interlag_video::frame::Rect;
 
     fn simple_script() -> DeviceScript {

@@ -3,11 +3,18 @@
 //! [`Device::run`] replays a recorded input trace against a
 //! [`DeviceScript`] under a chosen [`Governor`], reproducing one "workload
 //! execution" of the paper: input events are delivered from the replay
-//! agent, the scripted app reacts by spawning compute tasks, the single
-//! active core (the paper disables the other three, §III-C) executes them
-//! at the governor-selected frequency, the screen repaints as phases
-//! complete, and the HDMI tap captures the video — while frequency/load
-//! traces accumulate for the energy model.
+//! agent, the scripted app reacts by spawning compute tasks, the active
+//! core executes them at the governor-selected frequency, the screen
+//! repaints as phases complete, and the HDMI tap captures the video —
+//! while frequency/load traces accumulate for the energy model.
+//!
+//! One quantum loop drives every device model. It runs N clusters, each
+//! one active core with its own OPP table, governor, run queues and
+//! activity trace; input, the scene, interactions and deferred updates
+//! are shared. [`Device`] runs it over one cluster — the paper's single
+//! active core (it disables the other three, §III-C) — and records the
+//! video; [`ClusterDevice`](crate::cluster::ClusterDevice) runs it over a
+//! topology's clusters with pins and task migration, and records none.
 //!
 //! The loop advances in 1 ms quanta: well below the 33 ms frame period and
 //! the 20 ms governor sampling period, so every externally visible timing
@@ -18,7 +25,8 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use interlag_evdev::event::TimedEvent;
+use interlag_evdev::event::codes::BTN_TOUCH;
+use interlag_evdev::event::{EventType, TimedEvent};
 use interlag_evdev::mt::{ContactEvent, MtDecoder, Point};
 use interlag_evdev::replay::{ReplayStats, Replayer};
 use interlag_evdev::time::{SimDuration, SimTime};
@@ -29,10 +37,11 @@ use interlag_video::capture::{CameraCapture, CaptureLink};
 use interlag_video::frame::FrameBuffer;
 use interlag_video::stream::VideoStream;
 
+use crate::cluster::{ClusterDeviceConfig, ClusterRunArtifacts, ClusterTopology};
 use crate::dvfs::{Governor, LoadSample};
 use crate::error::DeviceError;
 use crate::render::{DecorationState, Renderer, ScreenConfig};
-use crate::scene::Scene;
+use crate::scene::{Scene, SceneUpdate};
 use crate::script::{DeviceScript, InteractionCategory};
 use crate::task::{Task, TaskKind, TaskSpec};
 
@@ -171,6 +180,8 @@ impl RunArtifacts {
 pub struct Device {
     config: DeviceConfig,
     renderer: Renderer,
+    /// The same CPU as a one-cluster topology: what the quantum loop runs.
+    machine: ClusterDeviceConfig,
 }
 
 impl Device {
@@ -183,7 +194,13 @@ impl Device {
         assert!(!config.quantum.is_zero(), "quantum must be positive");
         assert!(config.quantum <= config.frame_period, "quantum must not exceed the frame period");
         let renderer = Renderer::new(config.screen);
-        Device { config, renderer }
+        let machine = ClusterDeviceConfig {
+            quantum: config.quantum,
+            input_cost_cycles: config.input_cost_cycles,
+            ui_render_cycles: config.ui_render_cycles,
+            ..ClusterDeviceConfig::new(ClusterTopology::single(config.opps.clone()))
+        };
+        Device { config, renderer, machine }
     }
 
     /// The device configuration.
@@ -275,241 +292,337 @@ impl Device {
         self.run_inner(script, replayer, governor, until, Some(link), cancel)
     }
 
-    fn run_inner<R: Replayer>(
-        &self,
+    fn run_inner<'a, R: Replayer>(
+        &'a self,
         script: &DeviceScript,
-        mut replayer: R,
+        replayer: R,
         governor: &mut dyn Governor,
         until: SimTime,
-        mut link: Option<&mut dyn CaptureLink>,
+        link: Option<&'a mut dyn CaptureLink>,
         cancel: &CancelToken,
     ) -> Result<RunArtifacts, DeviceError> {
         let cfg = &self.config;
-        let quantum = cfg.quantum;
-        let khz_of = |f: Frequency| f.as_khz() as u64;
+        // Boot screen: the default scene, rendered before the first quantum.
+        let recording = (cfg.capture != CaptureMode::None).then(|| {
+            let boot = Scene::default();
+            let deco = DecorationState::at(SimTime::ZERO, &boot, 0);
+            let screen = Arc::new(self.renderer.render(&boot, &deco));
+            let stream = VideoStream::new(cfg.frame_period);
+            let renderer = &self.renderer;
+            Recording { renderer, link, stream, deco, screen, next_frame_at: SimTime::ZERO }
+        });
+        let (run, video) = run_quanta(
+            &self.machine,
+            &cfg.obs,
+            script,
+            replayer,
+            &mut [governor],
+            until,
+            recording,
+            cancel,
+        )?;
+        Ok(RunArtifacts {
+            governor_name: run.governor_names.into_iter().next().unwrap_or_default(),
+            video,
+            activity: run.activity.into_iter().next().unwrap_or_default(),
+            interactions: run.interactions,
+            replay: run.replay,
+            input_faults: run.input_faults,
+            end_time: run.end_time,
+        })
+    }
+}
 
-        // --- state: CPU -------------------------------------------------
-        let mut freq = cfg.opps.quantize_up(governor.init(&cfg.opps));
-        let mut fg: VecDeque<Task> = VecDeque::new();
-        let mut bg: VecDeque<Task> = VecDeque::new();
-        let mut activity = ActivityTrace::new();
+/// The screen side of a recorded run: the framebuffer the renderer keeps
+/// current and the stream the capture link (the clean HDMI tap when
+/// `None`) fills. Nothing else reads the screen, so runs without a video
+/// neither repaint nor capture.
+pub(crate) struct Recording<'a> {
+    renderer: &'a Renderer,
+    link: Option<&'a mut dyn CaptureLink>,
+    stream: VideoStream,
+    deco: DecorationState,
+    screen: Arc<FrameBuffer>,
+    next_frame_at: SimTime,
+}
 
-        // --- state: governor sampling -----------------------------------
-        let mut busy_acc = SimDuration::ZERO;
-        let mut last_sample_at = SimTime::ZERO;
-        let mut next_sample_at = SimTime::ZERO + governor.sample_period();
+/// One active core's execution state: a cluster of a `ClusterDevice`, or
+/// the whole CPU of a [`Device`].
+#[derive(Default)]
+struct Core {
+    freq: Frequency,
+    fg: VecDeque<Task>,
+    bg: VecDeque<Task>,
+    activity: ActivityTrace,
+    busy_acc: SimDuration,
+    last_sample_at: SimTime,
+    next_sample_at: SimTime,
+    /// Tasks blocked on a phase wait, with their resume times.
+    parked: Vec<(SimTime, Task)>,
+    /// Busy time since the last migration evaluation.
+    mig_busy: SimDuration,
+}
 
-        // --- state: UI --------------------------------------------------
-        let mut scene = Scene::default();
-        let mut spinner_frame = 0u64;
-        let mut next_render_spawn = SimTime::ZERO;
-        let mut deco = DecorationState::at(SimTime::ZERO, &scene, spinner_frame);
-        let mut screen: Arc<FrameBuffer> = Arc::new(self.renderer.render(&scene, &deco));
-        let mut dirty = false;
+/// The device execution loop: runs `script` against `replayer` from a
+/// freshly-booted state until `until`, one governor per cluster of
+/// `machine` in cluster order, recording video only when `recording` is
+/// given. Loop counters are flushed to `obs` once, at the end.
+///
+/// # Panics
+///
+/// Panics if `governors` does not match the topology's cluster count.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_quanta<R: Replayer>(
+    machine: &ClusterDeviceConfig,
+    obs: &interlag_obs::Recorder,
+    script: &DeviceScript,
+    mut replayer: R,
+    governors: &mut [&mut dyn Governor],
+    until: SimTime,
+    mut recording: Option<Recording<'_>>,
+    cancel: &CancelToken,
+) -> Result<(ClusterRunArtifacts, Option<VideoStream>), DeviceError> {
+    let clusters = machine.topology.clusters();
+    let n = clusters.len();
+    assert_eq!(governors.len(), n, "one governor per cluster");
+    let quantum = machine.quantum;
+    // Work that burns cycles and changes nothing on screen.
+    let task = |cycles, kind| Task::new(TaskSpec::single(cycles, SceneUpdate::Nop), kind);
 
-        // --- state: capture ----------------------------------------------
-        let mut video = match cfg.capture {
-            CaptureMode::None => None,
-            _ => Some(VideoStream::new(cfg.frame_period)),
-        };
-        let mut next_frame_at = SimTime::ZERO;
+    // --- state: one active core per cluster --------------------------
+    let mut cores: Vec<Core> = clusters
+        .iter()
+        .zip(governors.iter_mut())
+        .map(|(spec, g)| Core {
+            freq: spec.opps.quantize_up(g.init(&spec.opps)),
+            next_sample_at: SimTime::ZERO + g.sample_period(),
+            ..Core::default()
+        })
+        .collect();
 
-        // --- state: input dispatch ---------------------------------------
-        let mut decoder = MtDecoder::new();
-        let mut input_faults = 0usize;
-        let mut next_interaction = 0usize;
-        let mut interactions: Vec<InteractionRecord> = script
-            .interactions
-            .iter()
-            .enumerate()
-            .map(|(id, spec)| InteractionRecord {
-                id,
-                label: spec.label.clone(),
-                input_time: spec.start,
-                category: spec.category,
-                spurious: spec.is_spurious(),
-                triggered: false,
-                service_time: None,
-            })
-            .collect();
+    // --- state: UI ----------------------------------------------------
+    let mut scene = Scene::default();
+    let mut spinner_frame = 0u64;
+    let mut next_render_spawn = SimTime::ZERO;
+    // Whether the scene changed since the last repaint.
+    let mut dirty = false;
 
-        // --- state: scripted background work ------------------------------
-        let mut next_bg = 0usize;
-        let mut next_tick_at = script.tick.map(|_| SimTime::ZERO + quantum);
+    // --- state: input dispatch ----------------------------------------
+    let mut decoder = MtDecoder::new();
+    let mut input_faults = 0usize;
+    let mut next_interaction = 0usize;
+    let mut interactions: Vec<InteractionRecord> = script
+        .interactions
+        .iter()
+        .enumerate()
+        .map(|(id, spec)| InteractionRecord {
+            id,
+            label: spec.label.clone(),
+            input_time: spec.start,
+            category: spec.category,
+            spurious: spec.is_spurious(),
+            triggered: false,
+            service_time: None,
+        })
+        .collect();
 
-        // --- state: observability -------------------------------------------
-        // Local accumulators, flushed to the recorder once per run: the
-        // quantum loop stays free of shared-state traffic even when
-        // recording is on.
-        let mut obs_input_boosts = 0u64;
-        let mut obs_samples = 0u64;
-        let mut obs_transitions = 0u64;
-        let mut obs_frames = 0u64;
+    // --- state: scripted background work ------------------------------
+    let mut next_bg = 0usize;
+    let mut next_tick_at = script.tick.map(|_| SimTime::ZERO + quantum);
 
-        // --- state: I/O waits ----------------------------------------------
-        // Tasks blocked on a phase wait, with their resume times, and scene
-        // updates whose visibility is deferred behind a wait.
-        let mut parked: Vec<(SimTime, Task)> = Vec::new();
-        let mut pending_updates: Vec<(SimTime, crate::scene::SceneUpdate, TaskKind, bool)> =
-            Vec::new();
+    // --- state: I/O waits and migration -------------------------------
+    // Scene updates whose visibility is deferred behind a wait.
+    let mut pending_updates: Vec<(SimTime, SceneUpdate, TaskKind, bool)> = Vec::new();
+    let mut migrations = 0u64;
+    let mut next_mig_at = SimTime::ZERO + machine.migration.eval_period;
 
-        let mut now = SimTime::ZERO;
-        let mut quanta = 0u64;
-        while now < until {
-            // Watchdog poll, strided so the common (no-watchdog) case costs
-            // one branch per CANCEL_STRIDE quanta and deadline tokens read
-            // the clock rarely.
-            if quanta.is_multiple_of(CANCEL_STRIDE) && cancel.is_cancelled() {
-                return Err(DeviceError::Cancelled);
-            }
-            quanta += 1;
-            let qend = now + quantum;
+    // --- state: observability -----------------------------------------
+    // Local accumulators, flushed to the recorder once per run: the
+    // quantum loop stays free of shared-state traffic even when
+    // recording is on.
+    let mut obs_input_boosts = 0u64;
+    let mut obs_samples = 0u64;
+    let mut obs_transitions = 0u64;
 
-            // 1. Deliver input events due by `now`.
-            for te in replayer.poll(now) {
-                if let Some(f) = governor.on_input(te.time, &cfg.opps) {
-                    freq = cfg.opps.quantize_up(f);
+    let mut now = SimTime::ZERO;
+    let mut quanta = 0u64;
+    while now < until {
+        // Watchdog poll, strided so the common (no-watchdog) case costs
+        // one branch per CANCEL_STRIDE quanta and deadline tokens read
+        // the clock rarely.
+        if quanta.is_multiple_of(CANCEL_STRIDE) && cancel.is_cancelled() {
+            return Err(DeviceError::Cancelled);
+        }
+        quanta += 1;
+        let qend = now + quantum;
+
+        // 1. Deliver input events due by `now`. Every cluster's governor
+        // sees the input hook, as a cpufreq input notifier fans out to
+        // every policy. Input handling runs on cluster 0.
+        for te in replayer.poll(now) {
+            for ((core, g), spec) in cores.iter_mut().zip(governors.iter_mut()).zip(clusters) {
+                if let Some(f) = g.on_input(te.time, &spec.opps) {
+                    core.freq = spec.opps.quantize_up(f);
                     obs_input_boosts += 1;
                 }
-                if te.event.is_syn_report() && cfg.input_cost_cycles > 0 {
-                    bg.push_back(Task::new(
-                        TaskSpec::single(cfg.input_cost_cycles, crate::scene::SceneUpdate::Nop),
-                        TaskKind::Background,
-                    ));
-                }
-                for trigger in Self::triggers(&mut decoder, &te, &mut input_faults) {
-                    Self::dispatch(
-                        script,
-                        &mut interactions,
-                        &mut next_interaction,
-                        &mut fg,
-                        te.time,
-                        trigger,
-                    );
-                }
             }
-
-            // 2. Spawn scripted background work that has become runnable.
-            while next_bg < script.background.len() && script.background[next_bg].start <= now {
-                bg.push_back(Task::new(
-                    TaskSpec::single(
-                        script.background[next_bg].cycles,
-                        crate::scene::SceneUpdate::Nop,
-                    ),
-                    TaskKind::Background,
-                ));
-                next_bg += 1;
+            if te.event.is_syn_report() && machine.input_cost_cycles > 0 {
+                cores[0].bg.push_back(task(machine.input_cost_cycles, TaskKind::Background));
             }
-
-            // 3. Periodic system tick.
-            if let (Some(tick), Some(due)) = (script.tick, next_tick_at.as_mut()) {
-                while *due <= now {
-                    bg.push_back(Task::new(
-                        TaskSpec::single(tick.cycles, crate::scene::SceneUpdate::Nop),
-                        TaskKind::Background,
-                    ));
-                    *due += tick.period;
-                }
-            }
-
-            // 3b. Animation render passes: while a spinner shows, the UI
-            // thread must produce a frame every SPINNER_FRAME_PERIOD; the
-            // pass costs CPU on the foreground queue, so a busy core
-            // misses deadlines and the animation visibly stutters (jank).
-            if scene.spinner {
-                while next_render_spawn <= now {
-                    // The compositor drops frames at the source rather
-                    // than queueing unboundedly.
-                    let pending = fg.iter().filter(|t| t.kind() == TaskKind::UiRender).count();
-                    if pending < 2 {
-                        fg.push_back(Task::new(
-                            TaskSpec::single(
-                                (cfg.ui_render_cycles + scene.animation_load).max(1),
-                                crate::scene::SceneUpdate::Nop,
-                            ),
-                            TaskKind::UiRender,
-                        ));
+            // Each trigger goes to the next scripted interaction; its
+            // response task joins the pinned cluster's foreground queue.
+            for pos in triggers(&mut decoder, &te, &mut input_faults) {
+                let id = next_interaction;
+                let Some(spec) = script.interactions.get(id) else {
+                    continue; // inputs beyond the script are ignored
+                };
+                next_interaction += 1;
+                let rec = &mut interactions[id]; // records mirror the script
+                rec.triggered = true;
+                rec.input_time = te.time;
+                let hit = match (spec.widget, pos) {
+                    (Some(w), Some(p)) => {
+                        p.x >= 0 && p.y >= 0 && w.contains(p.x as u32, p.y as u32)
                     }
-                    next_render_spawn += crate::render::SPINNER_FRAME_PERIOD;
-                }
-            } else {
-                // No animation: the next one starts on its own grid.
-                if next_render_spawn <= now {
-                    next_render_spawn = now + crate::render::SPINNER_FRAME_PERIOD;
+                    (Some(_), None) => true,
+                    (None, _) => false,
+                };
+                match (&spec.response, hit) {
+                    (Some(task), true) => {
+                        let fg = &mut cores[machine.pin_of(id)].fg;
+                        fg.push_back(Task::new(task.clone(), TaskKind::Foreground { id }));
+                        rec.spurious = false;
+                    }
+                    _ => rec.spurious = true,
                 }
             }
+        }
 
-            // 4a. Resume tasks whose I/O wait has elapsed (earliest first;
-            // resumed work jumps the queue, as a woken thread would).
-            if !parked.is_empty() {
-                parked.sort_by_key(|(at, _)| *at);
-                while parked.first().is_some_and(|(at, _)| *at <= now) {
-                    let (_, task) = parked.remove(0);
-                    match task.kind() {
-                        TaskKind::Foreground { .. } | TaskKind::UiRender => fg.push_front(task),
-                        TaskKind::Background => bg.push_front(task),
-                    }
+        // 2. Spawn scripted background work that has become runnable, on
+        // cluster 0 (it starts on the efficiency cluster and migrates up).
+        while next_bg < script.background.len() && script.background[next_bg].start <= now {
+            let cycles = script.background[next_bg].cycles;
+            cores[0].bg.push_back(task(cycles, TaskKind::Background));
+            next_bg += 1;
+        }
+
+        // 3. Periodic system tick, also on cluster 0.
+        if let (Some(tick), Some(due)) = (script.tick, next_tick_at.as_mut()) {
+            while *due <= now {
+                cores[0].bg.push_back(task(tick.cycles, TaskKind::Background));
+                *due += tick.period;
+            }
+        }
+
+        // 3b. Animation render passes, on cluster 0's UI thread: while a
+        // spinner shows, the UI thread must produce a frame every
+        // SPINNER_FRAME_PERIOD; the pass costs CPU on the foreground
+        // queue, so a busy core misses deadlines and the animation
+        // visibly stutters (jank).
+        if scene.spinner {
+            while next_render_spawn <= now {
+                // The compositor drops frames at the source rather than
+                // queueing unboundedly.
+                let ui = &mut cores[0].fg;
+                let pending = ui.iter().filter(|t| t.kind() == TaskKind::UiRender).count();
+                if pending < 2 {
+                    let cycles = (machine.ui_render_cycles + scene.animation_load).max(1);
+                    ui.push_back(task(cycles, TaskKind::UiRender));
+                }
+                next_render_spawn += crate::render::SPINNER_FRAME_PERIOD;
+            }
+        } else if next_render_spawn <= now {
+            // No animation: the next one starts on its own grid.
+            next_render_spawn = now + crate::render::SPINNER_FRAME_PERIOD;
+        }
+
+        // 3c. Task migration on the per-cluster load signal, with more
+        // than one cluster. Down-migrations run first: an idle bigger
+        // cluster drains before the up pass refills it, so a task
+        // up-migrated in this round is never bounced straight back by the
+        // same round's stale load snapshot.
+        if n > 1 && qend >= next_mig_at {
+            let model = &machine.migration;
+            let loads: Vec<f64> = cores
+                .iter()
+                .map(|c| LoadSample { busy: c.mig_busy, window: model.eval_period }.load_percent())
+                .collect();
+            for ci in (1..n).rev() {
+                if loads[ci] <= model.down_threshold {
+                    migrations += u64::from(migrate(&mut cores, ci, ci - 1, &machine.pins));
                 }
             }
-
-            // 4b. Apply scene updates whose I/O wait has elapsed.
-            if !pending_updates.is_empty() {
-                pending_updates.sort_by_key(|(at, ..)| *at);
-                while pending_updates.first().is_some_and(|(at, ..)| *at <= qend) {
-                    let (at, update, kind, task_finished) = pending_updates.remove(0);
-                    if scene.apply(&update) {
-                        dirty = true;
-                    }
-                    if task_finished {
-                        if let TaskKind::Foreground { id } = kind {
-                            if let Some(rec) = interactions.get_mut(id) {
-                                rec.service_time = Some(at.max(now));
-                            }
-                        }
-                    }
+            for (ci, &load) in loads.iter().enumerate().take(n - 1) {
+                if load >= model.up_threshold {
+                    migrations += u64::from(migrate(&mut cores, ci, ci + 1, &machine.pins));
                 }
             }
+            for core in cores.iter_mut() {
+                core.mig_busy = SimDuration::ZERO;
+            }
+            next_mig_at = qend + model.eval_period;
+        }
 
-            // 4c. Execute the quantum.
-            let budget = freq.cycles_in(quantum);
-            let khz = khz_of(freq);
+        // 4a. Resume tasks whose I/O wait has elapsed (earliest first;
+        // resumed work jumps the queue, as a woken thread would).
+        for core in cores.iter_mut() {
+            if core.parked.is_empty() {
+                continue;
+            }
+            core.parked.sort_by_key(|(at, _)| *at);
+            while core.parked.first().is_some_and(|(at, _)| *at <= now) {
+                let (_, task) = core.parked.remove(0);
+                match task.kind() {
+                    TaskKind::Foreground { .. } | TaskKind::UiRender => core.fg.push_front(task),
+                    TaskKind::Background => core.bg.push_front(task),
+                }
+            }
+        }
+
+        // 4b. Apply scene updates whose I/O wait has elapsed.
+        if !pending_updates.is_empty() {
+            pending_updates.sort_by_key(|(at, ..)| *at);
+            while pending_updates.first().is_some_and(|(at, ..)| *at <= qend) {
+                let (at, update, kind, task_finished) = pending_updates.remove(0);
+                dirty |= scene.apply(&update);
+                if let (true, TaskKind::Foreground { id }) = (task_finished, kind) {
+                    interactions[id].service_time = Some(at.max(now));
+                }
+            }
+        }
+
+        // 4c + 5. Execute and account the quantum on every cluster, in
+        // cluster order.
+        for core in cores.iter_mut() {
+            let budget = core.freq.cycles_in(quantum);
+            let khz = core.freq.as_khz() as u64;
             let mut consumed = 0u64;
             while consumed < budget {
-                let from_fg = !fg.is_empty();
-                let queue = if from_fg { &mut fg } else { &mut bg };
+                let queue = if core.fg.is_empty() { &mut core.bg } else { &mut core.fg };
                 let Some(task) = queue.front_mut() else { break };
                 let before = consumed;
                 let (c, completions) = task.advance(budget - consumed);
                 consumed += c;
                 let finished = task.is_finished();
-                let blocked = Task::blocked_after(&completions);
-                let mut block_at = SimTime::ZERO;
+                // When the task blocks on a wait, until when.
+                let mut block_at = None;
                 for comp in completions {
                     let at = before + comp.at_consumed_cycles;
                     let ts = now + SimDuration::from_micros((at * 1_000).div_ceil(khz));
                     if comp.wait.is_zero() {
-                        if scene.apply(&comp.update) {
-                            dirty = true;
-                        }
+                        dirty |= scene.apply(&comp.update);
                         match comp.kind {
                             TaskKind::Foreground { id } if comp.task_finished => {
-                                if let Some(rec) = interactions.get_mut(id) {
-                                    rec.service_time = Some(ts.min(qend));
-                                }
+                                interactions[id].service_time = Some(ts.min(qend));
                             }
-                            TaskKind::UiRender if comp.task_finished => {
-                                spinner_frame += 1;
-                                if scene.spinner {
-                                    dirty = true;
-                                }
-                            }
+                            TaskKind::UiRender if comp.task_finished => spinner_frame += 1,
                             _ => {}
                         }
                     } else {
                         // The update (and, for final phases, the service
                         // point) becomes visible only after the wait.
                         let visible_at = ts.min(qend) + comp.wait;
-                        block_at = visible_at;
+                        block_at = Some(visible_at);
                         pending_updates.push((
                             visible_at,
                             comp.update,
@@ -520,9 +633,9 @@ impl Device {
                 }
                 if finished {
                     queue.pop_front();
-                } else if blocked.is_some() {
+                } else if let Some(at) = block_at {
                     if let Some(task) = queue.pop_front() {
-                        parked.push((block_at, task));
+                        core.parked.push((at, task));
                     }
                 } else if c == 0 {
                     break; // cannot happen, but never spin
@@ -533,133 +646,113 @@ impl Device {
             } else {
                 SimDuration::from_micros(consumed * 1_000 / khz).min(quantum)
             };
+            core.activity.push(ActivitySample {
+                start: now,
+                duration: quantum,
+                freq: core.freq,
+                busy,
+            });
+            core.busy_acc += busy;
+            core.mig_busy += busy;
+        }
 
-            // 5. Account the quantum.
-            activity.push(ActivitySample { start: now, duration: quantum, freq, busy });
-            busy_acc += busy;
-
-            // 6. Governor sampling.
-            if qend >= next_sample_at {
-                let window = qend - last_sample_at;
-                let sample = LoadSample { busy: busy_acc, window };
-                let before = freq;
-                freq = cfg.opps.quantize_up(governor.on_sample(qend, sample, &cfg.opps));
+        // 6. Governor sampling, per cluster.
+        for ((core, g), spec) in cores.iter_mut().zip(governors.iter_mut()).zip(clusters) {
+            if qend >= core.next_sample_at {
+                let sample = LoadSample { busy: core.busy_acc, window: qend - core.last_sample_at };
+                let before = core.freq;
+                core.freq = spec.opps.quantize_up(g.on_sample(qend, sample, &spec.opps));
                 obs_samples += 1;
-                obs_transitions += u64::from(freq != before);
-                busy_acc = SimDuration::ZERO;
-                last_sample_at = qend;
-                next_sample_at = qend + governor.sample_period();
+                obs_transitions += u64::from(core.freq != before);
+                core.busy_acc = SimDuration::ZERO;
+                core.last_sample_at = qend;
+                core.next_sample_at = qend + g.sample_period();
             }
+        }
 
-            // 7. Repaint if the scene or a decoration changed.
-            let new_deco = DecorationState::at(qend, &scene, spinner_frame);
-            if dirty || new_deco != deco {
-                deco = new_deco;
-                screen = Arc::new(self.renderer.render(&scene, &deco));
+        // 7. Repaint if the scene changed, or just the decorations that
+        // changed, and 8. capture the frames due in this quantum — when
+        // recording video.
+        if let Some(rec) = recording.as_mut() {
+            let deco = DecorationState::at(qend, &scene, spinner_frame);
+            if dirty {
+                rec.screen = Arc::new(rec.renderer.render(&scene, &deco));
                 dirty = false;
+            } else if deco != rec.deco {
+                rec.screen = Arc::new(rec.renderer.redecorate(&rec.screen, &scene, &deco));
             }
-
-            // 8. Capture frames due in this quantum.
-            if let Some(video) = video.as_mut() {
-                while next_frame_at <= qend {
-                    let frame = match link.as_deref_mut() {
-                        Some(l) => l.capture(next_frame_at, &screen),
-                        None => screen.clone(),
-                    };
-                    video.push(next_frame_at, frame)?;
-                    obs_frames += 1;
-                    next_frame_at += cfg.frame_period;
-                }
-            }
-
-            now = qend;
-        }
-
-        cfg.obs.count(interlag_obs::Counter::InputBoosts, obs_input_boosts);
-        cfg.obs.count(interlag_obs::Counter::GovernorSamples, obs_samples);
-        cfg.obs.count(interlag_obs::Counter::FreqTransitions, obs_transitions);
-        cfg.obs.count(interlag_obs::Counter::FramesCaptured, obs_frames);
-
-        Ok(RunArtifacts {
-            governor_name: governor.name().to_string(),
-            video,
-            activity,
-            interactions,
-            replay: replayer.stats(),
-            input_faults,
-            end_time: now,
-        })
-    }
-
-    /// Extracts interaction triggers (finger-down, hardware-key-down) from
-    /// one raw event. Malformed multitouch events are counted into
-    /// `faults` and otherwise tolerated. Shared with the cluster device,
-    /// whose input path must byte-match this one.
-    pub(crate) fn triggers(
-        decoder: &mut MtDecoder,
-        te: &TimedEvent,
-        faults: &mut usize,
-    ) -> Vec<Option<Point>> {
-        let mut out = Vec::new();
-        if te.device == 1 {
-            let contacts = match decoder.try_push(te.time, te.event) {
-                Ok(contacts) => contacts,
-                Err(_) => {
-                    *faults += 1;
-                    Vec::new()
-                }
-            };
-            for c in contacts {
-                if let ContactEvent::Down { pos, .. } = c {
-                    out.push(Some(pos));
-                }
-            }
-        } else if te.event.kind == interlag_evdev::event::EventType::Key
-            && te.event.code != interlag_evdev::event::codes::BTN_TOUCH
-            && te.event.value == 1
-        {
-            out.push(None);
-        }
-        out
-    }
-
-    /// Routes one trigger to the next scripted interaction. Shared with
-    /// the cluster device, which passes the pinned cluster's queue.
-    pub(crate) fn dispatch(
-        script: &DeviceScript,
-        interactions: &mut [InteractionRecord],
-        next_interaction: &mut usize,
-        fg: &mut VecDeque<Task>,
-        time: SimTime,
-        pos: Option<Point>,
-    ) {
-        let id = *next_interaction;
-        let Some(spec) = script.interactions.get(id) else {
-            return; // inputs beyond the script are ignored
-        };
-        *next_interaction += 1;
-
-        let Some(rec) = interactions.get_mut(id) else {
-            return; // records mirror the script; a shorter slice is benign
-        };
-        rec.triggered = true;
-        rec.input_time = time;
-
-        let hit = match (spec.widget, pos) {
-            (Some(w), Some(p)) => p.x >= 0 && p.y >= 0 && w.contains(p.x as u32, p.y as u32),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        match (&spec.response, hit) {
-            (Some(task), true) => {
-                fg.push_back(Task::new(task.clone(), TaskKind::Foreground { id }));
-                rec.spurious = false;
-            }
-            _ => {
-                rec.spurious = true;
+            rec.deco = deco;
+            while rec.next_frame_at <= qend {
+                let frame = match rec.link.as_deref_mut() {
+                    Some(l) => l.capture(rec.next_frame_at, &rec.screen),
+                    None => rec.screen.clone(),
+                };
+                rec.stream.push(rec.next_frame_at, frame)?;
+                rec.next_frame_at += rec.stream.frame_period();
             }
         }
+
+        now = qend;
     }
+
+    let video = recording.map(|r| r.stream);
+    obs.count(interlag_obs::Counter::InputBoosts, obs_input_boosts);
+    obs.count(interlag_obs::Counter::GovernorSamples, obs_samples);
+    obs.count(interlag_obs::Counter::FreqTransitions, obs_transitions);
+    obs.count(interlag_obs::Counter::FramesCaptured, video.as_ref().map_or(0, |v| v.len() as u64));
+
+    let run = ClusterRunArtifacts {
+        governor_names: governors.iter().map(|g| g.name().to_string()).collect(),
+        activity: cores.into_iter().map(|c| c.activity).collect(),
+        interactions,
+        replay: replayer.stats(),
+        input_faults,
+        migrations,
+        end_time: now,
+    };
+    Ok((run, video))
+}
+
+/// Moves the oldest migratable task from cluster `from` to cluster `to`;
+/// `true` if a task moved. Background work migrates first; foreground
+/// work migrates unless pinned; UI render passes never do.
+fn migrate(cores: &mut [Core], from: usize, to: usize, pins: &[(usize, usize)]) -> bool {
+    if let Some(task) = cores[from].bg.pop_front() {
+        cores[to].bg.push_back(task);
+        return true;
+    }
+    let movable = cores[from].fg.front().is_some_and(|t| match t.kind() {
+        TaskKind::Foreground { id } => !pins.iter().any(|(i, _)| *i == id),
+        _ => false,
+    });
+    if movable {
+        if let Some(task) = cores[from].fg.pop_front() {
+            cores[to].fg.push_back(task);
+            return true;
+        }
+    }
+    false
+}
+
+/// Extracts interaction triggers (finger-down, hardware-key-down) from one
+/// raw event. Malformed multitouch events are counted into `faults` and
+/// otherwise tolerated.
+fn triggers(decoder: &mut MtDecoder, te: &TimedEvent, faults: &mut usize) -> Vec<Option<Point>> {
+    let mut out = Vec::new();
+    if te.device == 1 {
+        let contacts = decoder.try_push(te.time, te.event).unwrap_or_else(|_| {
+            *faults += 1;
+            Vec::new()
+        });
+        for c in contacts {
+            if let ContactEvent::Down { pos, .. } = c {
+                out.push(Some(pos));
+            }
+        }
+    } else if te.event.kind == EventType::Key && te.event.code != BTN_TOUCH && te.event.value == 1 {
+        out.push(None);
+    }
+    out
 }
 
 impl Default for Device {

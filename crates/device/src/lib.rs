@@ -6,7 +6,7 @@
 //! replayed input events into compute tasks, a renderer producing the
 //! screen contents, and capture/trace taps for the analysis pipeline.
 //!
-//! * [`cluster`] — the heterogeneous big.LITTLE extension of the loop;
+//! * [`cluster`] — the heterogeneous big.LITTLE device, run by the same loop;
 //! * [`scene`] — what the screen shows (elements, cursor, spinner);
 //! * [`render`] — scenes + decorations (clock, blink, spinner) to pixels;
 //! * [`task`] — phased compute work whose service time scales with DVFS;

@@ -131,30 +131,56 @@ impl Renderer {
 
     /// Draws `scene` with decorations `deco` into a fresh buffer.
     pub fn render(&self, scene: &Scene, deco: &DecorationState) -> FrameBuffer {
+        let mut fb = FrameBuffer::new(self.config.width, self.config.height);
+        let all = fb.bounds();
+        self.paint(&mut fb, scene, deco, all);
+        fb
+    }
+
+    /// Repaints only the decoration areas of `prev`, a render of `scene`
+    /// under any decorations: the result equals `render(scene, deco)`
+    /// pixel for pixel, for a fraction of the cost.
+    pub(crate) fn redecorate(
+        &self,
+        prev: &FrameBuffer,
+        scene: &Scene,
+        deco: &DecorationState,
+    ) -> FrameBuffer {
         let c = &self.config;
-        let mut fb = FrameBuffer::new(c.width, c.height);
+        let mut fb = prev.clone();
+        for area in [c.clock_rect, c.cursor_rect, c.spinner_rect] {
+            self.paint(&mut fb, scene, deco, area);
+        }
+        fb
+    }
+
+    /// Paints every layer of the screen, clipped to `clip`. Textures are
+    /// functions of absolute pixel position, so a clipped paint writes
+    /// exactly what a full one writes inside `clip`.
+    fn paint(&self, fb: &mut FrameBuffer, scene: &Scene, deco: &DecorationState, clip: Rect) {
+        let c = &self.config;
+        // A layer outside `clip` clips to an empty rect, which paints nothing.
+        let clip = |rect: Rect| rect.intersect(&clip).unwrap_or(Rect::new(0, 0, 0, 0));
 
         // Status bar: flat dark strip with the clock texture at the right.
-        fb.fill_rect(Rect::new(0, 0, c.width, c.status_bar_rows), 24);
-        fb.hash_paint(c.clock_rect, 0xc10c_c10c ^ deco.clock_seconds);
+        fb.fill_rect(clip(Rect::new(0, 0, c.width, c.status_bar_rows)), 24);
+        fb.hash_paint(clip(c.clock_rect), 0xc10c_c10c ^ deco.clock_seconds);
 
         // Scene background and elements.
-        fb.hash_paint(c.body(), scene.background_seed);
+        fb.hash_paint(clip(c.body()), scene.background_seed);
         for el in scene.elements.iter().filter(|e| e.visible) {
-            fb.hash_paint(el.rect, el.seed);
+            fb.hash_paint(clip(el.rect), el.seed);
         }
 
         // Cursor: solid block toggling with the blink phase.
         if scene.cursor {
-            fb.fill_rect(c.cursor_rect, if deco.cursor_on { 255 } else { 16 });
+            fb.fill_rect(clip(c.cursor_rect), if deco.cursor_on { 255 } else { 16 });
         }
 
         // Spinner: re-textured every animation frame.
         if scene.spinner {
-            fb.hash_paint(c.spinner_rect, 0x5917_17e5 ^ deco.spinner_frame);
+            fb.hash_paint(clip(c.spinner_rect), 0x5917_17e5 ^ deco.spinner_frame);
         }
-
-        fb
     }
 }
 
@@ -205,6 +231,38 @@ mod tests {
         // Nothing outside the element's rect changed.
         let mask = Mask::new().with_excluded(rect);
         assert_eq!(mask.count_diff(&a, &b, 0), 0);
+    }
+
+    #[test]
+    fn redecorating_equals_a_full_render() {
+        let r = Renderer::default();
+        let c = *r.config();
+        // Elements straddle every decoration area, so clipped repaints
+        // must restack them exactly.
+        let scene = Scene::new(3)
+            .with_element(Element::new(Rect::new(40, 0, 20, 10), 11))
+            .with_element(Element::new(Rect::new(0, 100, 12, 20), 12))
+            .with_element(Element::new(Rect::new(30, 50, 12, 12), 13))
+            .with_cursor()
+            .with_spinner();
+        let states = [
+            DecorationState { clock_seconds: 0, cursor_on: true, spinner_frame: 0 },
+            DecorationState { clock_seconds: 1, cursor_on: true, spinner_frame: 0 },
+            DecorationState { clock_seconds: 1, cursor_on: false, spinner_frame: 0 },
+            DecorationState { clock_seconds: 1, cursor_on: false, spinner_frame: 4 },
+            DecorationState { clock_seconds: 9, cursor_on: true, spinner_frame: 5 },
+        ];
+        for area in [c.clock_rect, c.cursor_rect, c.spinner_rect] {
+            assert!(scene.elements.iter().any(|e| e.rect.intersect(&area).is_some()));
+        }
+        for plain in [false, true] {
+            let scene = if plain { Scene::new(8) } else { scene.clone() };
+            let mut screen = r.render(&scene, &states[0]);
+            for deco in &states[1..] {
+                screen = r.redecorate(&screen, &scene, deco);
+                assert_eq!(screen, r.render(&scene, deco), "{deco:?}");
+            }
+        }
     }
 
     #[test]

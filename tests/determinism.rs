@@ -6,11 +6,11 @@
 
 use interlag::core::experiment::{Lab, LabConfig};
 use interlag::device::device::{CaptureMode, Device, DeviceConfig};
-use interlag::device::dvfs::FixedGovernor;
+use interlag::device::dvfs::{FixedGovernor, Governor};
 use interlag::device::script::InteractionCategory;
 use interlag::evdev::replay::{ReplayAgent, SendeventReplayer};
 use interlag::evdev::time::SimDuration;
-use interlag::governors::Ondemand;
+use interlag::governors::{Interactive, Ondemand};
 use interlag::power::opp::Frequency;
 use interlag::workloads::datasets::Dataset;
 use interlag::workloads::gen::{Workload, WorkloadBuilder, MCYCLES};
@@ -64,6 +64,34 @@ fn governor_runs_are_also_deterministic() {
     let b = run();
     assert_eq!(a.activity, b.activity);
     assert_eq!(a.interactions, b.interactions);
+}
+
+/// Capture only observes: on a real workload, with spinners, background
+/// work and I/O waits under load-driven governors, a capture-free run must
+/// reach exactly the ground truth and activity of an HDMI-captured one.
+#[test]
+fn capture_free_runs_match_hdmi_ground_truth_under_governors() {
+    let w = Dataset::Mini.build();
+    let trace = w.script.record_trace();
+    let hdmi = Device::new(DeviceConfig::default());
+    let quiet = Device::new(DeviceConfig { capture: CaptureMode::None, ..DeviceConfig::default() });
+    let opps = hdmi.config().opps.clone();
+    for name in ["ondemand", "interactive"] {
+        let run = |device: &Device| {
+            let mut gov: Box<dyn Governor> = match name {
+                "ondemand" => Box::new(Ondemand::default()),
+                _ => Box::new(Interactive::for_table(&opps)),
+            };
+            device
+                .run(&w.script, ReplayAgent::new(trace.clone()), gov.as_mut(), w.run_until())
+                .expect("clean run")
+        };
+        let (with_video, without) = (run(&hdmi), run(&quiet));
+        assert!(with_video.video.is_some() && without.video.is_none());
+        assert!(with_video.interactions.iter().any(|r| r.service_time.is_some()));
+        assert_eq!(without.interactions, with_video.interactions, "{name}: interactions differ");
+        assert_eq!(without.activity, with_video.activity, "{name}: activity differs");
+    }
 }
 
 #[test]
