@@ -1,28 +1,80 @@
-//! Criterion performance benchmarks of the analysis pipeline itself:
-//! the suggester/matcher frame throughput that makes the automated markup
-//! 2700× faster than manual annotation, the device simulation rate, and
-//! the governor decision costs.
+//! Speedup gates for the two optimised hot paths of the markup pipeline,
+//! each timed in this process against the baseline it replaced:
+//!
+//! 1. **kernel** — the chunked-u64 diff kernels against the per-pixel
+//!    scalar reference, on 1080p-class frames.
+//! 2. **matcher** — one batched forward walk marking up every pending lag
+//!    against the per-lag walker it replaced.
+//!
+//! Both figures are ratios of two timings on the same host, so the gate
+//! holds on any machine: the bench panics if either optimised path is not
+//! faster than its baseline. End-to-end and per-layer performance is
+//! measured by `python3 benchmark/run.py`.
+//!
+//! Usage: `cargo bench -p interlag-bench --bench perf`.
 
+use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-
-use interlag_core::matcher::Matcher;
-use interlag_core::suggester::{Suggester, SuggesterConfig};
-use interlag_device::device::{CaptureMode, Device, DeviceConfig};
-use interlag_device::dvfs::{FixedGovernor, Governor, LoadSample};
-use interlag_device::script::InteractionCategory;
-use interlag_evdev::replay::ReplayAgent;
+use interlag_bench::banner;
+use interlag_core::matcher::{mark_up_with_policy, MatchPolicy, Matcher};
 use interlag_evdev::time::{SimDuration, SimTime};
-use interlag_governors::{Conservative, Interactive, Ondemand};
-use interlag_power::calibrate::{calibrate, CalibrationConfig};
-use interlag_power::energy::{ActivitySample, ActivityTrace, EnergyMeter};
-use interlag_power::model::PowerModel;
-use interlag_power::opp::OppTable;
 use interlag_video::frame::FrameBuffer;
+use interlag_video::kernel;
 use interlag_video::mask::{Mask, MatchTolerance};
 use interlag_video::stream::{VideoStream, FRAME_PERIOD_30FPS};
-use interlag_workloads::gen::{WorkloadBuilder, MCYCLES};
+
+/// Timed calls per path; both sections together take about a second.
+const SAMPLES: usize = 25;
+
+/// Median seconds per call over `samples` timed invocations (after one
+/// warm-up call).
+fn time_median<T>(samples: usize, mut f: impl FnMut() -> T) -> f64 {
+    black_box(f());
+    let mut times: Vec<f64> = (0..samples.max(1))
+        .map(|_| {
+            let started = Instant::now();
+            black_box(f());
+            started.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+struct KernelNumbers {
+    pixels: u64,
+    scalar_px_per_s: f64,
+    kernel_px_per_s: f64,
+    speedup: f64,
+}
+
+/// The matcher's hot decision — "does this frame differ from the
+/// annotation by more than the pixel budget?" — on 1080p-class frames,
+/// kernel vs the scalar early-exit reference.
+fn kernel_section(samples: usize) -> KernelNumbers {
+    let (width, height) = (1920u32, 1080u32);
+    let mut a = FrameBuffer::new(width, height);
+    let mut b = FrameBuffer::new(width, height);
+    a.hash_paint(a.bounds(), 1);
+    b.hash_paint(b.bounds(), 2);
+    let (pa, pb) = (a.pixels().to_vec(), b.pixels().to_vec());
+    let pixels = pa.len() as u64;
+    // Nearly every pixel differs and the budget is unbounded, so neither
+    // side can exit early: both scan the full frame, like a non-matching
+    // frame does in a real walk.
+    let (tol, limit) = (MatchTolerance::CAMERA.value_tolerance, u64::MAX - 1);
+
+    let scalar = time_median(samples, || kernel::reference::exceeds(&pa, &pb, tol, limit));
+    let fast = time_median(samples, || kernel::exceeds(&pa, &pb, tol, limit));
+    KernelNumbers {
+        pixels,
+        scalar_px_per_s: pixels as f64 / scalar,
+        kernel_px_per_s: pixels as f64 / fast,
+        speedup: scalar / fast,
+    }
+}
 
 fn synthetic_video(frames: u32, change_every: u32) -> VideoStream {
     let mut v = VideoStream::new(FRAME_PERIOD_30FPS);
@@ -34,7 +86,7 @@ fn synthetic_video(frames: u32, change_every: u32) -> VideoStream {
     for i in 0..frames {
         if i % change_every == 0 && i > 0 {
             let mut f = FrameBuffer::new(72, 120);
-            f.hash_paint(f.bounds(), i as u64);
+            f.hash_paint(f.bounds(), 1 + (i / change_every) as u64);
             current = Arc::new(f);
         }
         v.push(SimTime::from_micros(i as u64 * 33_333), current.clone()).unwrap();
@@ -42,200 +94,89 @@ fn synthetic_video(frames: u32, change_every: u32) -> VideoStream {
     v
 }
 
-fn bench_suggester(c: &mut Criterion) {
-    let video = synthetic_video(600, 40);
-    let suggester = Suggester::new(SuggesterConfig::default());
-    let mut group = c.benchmark_group("suggester");
-    group.throughput(Throughput::Elements(600));
-    group.bench_function("change_sequence_600_frames", |b| {
-        b.iter(|| suggester.change_sequence(&video, 0, 600))
-    });
-    group.bench_function("suggest_600_frames", |b| {
-        b.iter(|| suggester.suggest(&video, SimTime::ZERO, SimTime::from_secs(30)))
-    });
-    group.finish();
+struct MatcherNumbers {
+    lags: usize,
+    frames: u32,
+    per_lag_ms: f64,
+    batched_ms: f64,
+    speedup: f64,
 }
 
-/// The pre-optimisation matcher walk: per-frame naive masked count with no
-/// digest gate, no compiled mask, no memoisation — the baseline the
-/// fast-path numbers in EXPERIMENTS.md are measured against.
-fn naive_match_walk(
-    video: &VideoStream,
-    annotation: &interlag_core::annotation::LagAnnotation,
-) -> u32 {
-    let mut remaining = annotation.occurrence.max(1);
-    let mut in_match = false;
-    for frame in video.frames() {
-        let matches = annotation.mask.count_diff(
-            &annotation.image,
-            &frame.buf,
-            annotation.tolerance.value_tolerance,
-        ) <= annotation.tolerance.pixel_budget;
-        if matches && !in_match {
-            remaining -= 1;
-            if remaining == 0 {
-                return frame.index;
+/// Marks up many pending lags over one video: the batched single walk
+/// (shared packing, masks and verdict caches) against the per-lag walker.
+///
+/// Paper-scale rep: a ten-minute 30 fps capture, a few dozen
+/// interactions whose endings are spread across the whole video. The
+/// per-lag walker visits every frame from each lag's beginning to its
+/// ending; the batched walk visits compressed runs, once.
+fn matcher_section(samples: usize) -> MatcherNumbers {
+    let frames = 18_000u32; // ten minutes at 30 fps: one paper dataset
+    let change_every = 300u32;
+    let lags = 40u32;
+    let video = synthetic_video(frames, change_every);
+    // One annotation per interaction, its ending spread through the video;
+    // a fuzzy tolerance defeats the digest-equality shortcut so every
+    // verdict runs the diff kernels.
+    let mut db = interlag_core::annotation::AnnotationDb::new("perf");
+    for id in 0..lags as usize {
+        let frame_idx = ((id as u32 * frames / lags).min(frames - 1)) as usize;
+        db.insert(interlag_core::annotation::LagAnnotation {
+            interaction_id: id,
+            image: video.frames()[frame_idx].buf.as_ref().clone(),
+            mask: Mask::new(),
+            tolerance: MatchTolerance::CAMERA,
+            occurrence: 1,
+            threshold: SimDuration::from_secs(1),
+        });
+    }
+    // Every lag starts at the beginning, so each per-lag walk re-scans the
+    // same prefix the batched walk shares.
+    let beginnings: Vec<(usize, SimTime)> =
+        (0..lags as usize).map(|id| (id, SimTime::ZERO)).collect();
+    let policy = MatchPolicy::strict();
+
+    let batched =
+        time_median(samples, || mark_up_with_policy(&video, &beginnings, &db, "perf", &policy));
+    let matcher = Matcher::new();
+    let per_lag = time_median(samples, || {
+        let mut found = 0usize;
+        for &(id, input_time) in &beginnings {
+            let ann = db.get(id).expect("annotated");
+            if matcher.match_lag_with_policy(&video, input_time, ann, &policy).is_ok() {
+                found += 1;
             }
         }
-        in_match = matches;
+        found
+    });
+    MatcherNumbers {
+        lags: beginnings.len(),
+        frames,
+        per_lag_ms: per_lag * 1e3,
+        batched_ms: batched * 1e3,
+        speedup: per_lag / batched,
     }
-    panic!("ending not found");
 }
 
-fn bench_matcher(c: &mut Criterion) {
-    let video = synthetic_video(600, 40);
-    // Annotate the final frame as the ending: the matcher must walk all
-    // 600 frames to find it.
-    let last = video.frames().last().expect("frames present").buf.as_ref().clone();
-    let annotation = interlag_core::annotation::LagAnnotation {
-        interaction_id: 0,
-        image: last,
-        mask: Mask::new(),
-        tolerance: MatchTolerance::EXACT,
-        occurrence: 1,
-        threshold: SimDuration::from_secs(1),
-    };
-    let mut masked = annotation.clone();
-    masked.mask = Mask::status_bar(72, 6);
-    masked.mask.apply(&mut masked.image);
-    let matcher = Matcher::new();
-    let mut group = c.benchmark_group("matcher");
-    group.throughput(Throughput::Elements(600));
-    group.bench_function("walk_600_frames", |b| {
-        b.iter(|| matcher.match_lag(&video, SimTime::ZERO, &annotation).expect("found"))
-    });
-    group.bench_function("walk_600_frames_masked", |b| {
-        b.iter(|| matcher.match_lag(&video, SimTime::ZERO, &masked).expect("found"))
-    });
-    group.bench_function("walk_600_frames_naive", |b| {
-        b.iter(|| naive_match_walk(&video, &annotation))
-    });
-    group.bench_function("walk_600_frames_masked_naive", |b| {
-        b.iter(|| naive_match_walk(&video, &masked))
-    });
-    group.finish();
+fn main() {
+    banner("PERF — optimised hot paths vs their baselines", "speedup = baseline / optimised");
+
+    let k = kernel_section(SAMPLES);
+    println!(
+        "kernel   1080p diff vs scalar reference: scalar {:.0} Mpx/s, kernel {:.0} Mpx/s, \
+         speedup {:.1}x ({} px/frame)",
+        k.scalar_px_per_s / 1e6,
+        k.kernel_px_per_s / 1e6,
+        k.speedup,
+        k.pixels
+    );
+
+    let m = matcher_section(SAMPLES);
+    println!(
+        "matcher  batched markup vs per-lag walks: per-lag {:.2} ms, batched {:.2} ms, \
+         speedup {:.1}x ({} lags, {} frames)",
+        m.per_lag_ms, m.batched_ms, m.speedup, m.lags, m.frames
+    );
+
+    assert!(k.speedup > 1.0, "kernel not faster than scalar reference: {:.3}x", k.speedup);
+    assert!(m.speedup > 1.0, "batched markup not faster than per-lag walks: {:.3}x", m.speedup);
 }
-
-fn bench_device_sim(c: &mut Criterion) {
-    // A 30-second workload; reports simulated-seconds per wall-second.
-    let mut builder = WorkloadBuilder::new(7);
-    for i in 0..6 {
-        builder.quick_tap(&format!("tap {i}"), 300 * MCYCLES, InteractionCategory::SimpleFrequent);
-        builder.think_ms(3_000, 4_000);
-    }
-    let workload = builder.build("perf", "simulation-rate workload");
-    let trace = workload.script.record_trace();
-
-    let mut group = c.benchmark_group("device");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(workload.run_until().as_millis()));
-    for (name, capture) in
-        [("sim_30s_no_video", CaptureMode::None), ("sim_30s_hdmi", CaptureMode::Hdmi)]
-    {
-        let config = DeviceConfig { capture, ..Default::default() };
-        let device = Device::new(config);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut gov = FixedGovernor::new(device.config().opps.max_freq());
-                device.run(
-                    &workload.script,
-                    ReplayAgent::new(trace.clone()),
-                    &mut gov,
-                    workload.run_until(),
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_governors(c: &mut Criterion) {
-    let table = OppTable::snapdragon_8074();
-    let window = SimDuration::from_millis(20);
-    let load = LoadSample { busy: window / 2, window };
-    let mut group = c.benchmark_group("governor_decision");
-    group.bench_function("ondemand", |b| {
-        let mut g = Ondemand::default();
-        g.init(&table);
-        let mut t = SimTime::ZERO;
-        b.iter(|| {
-            t += window;
-            g.on_sample(t, load, &table)
-        })
-    });
-    group.bench_function("conservative", |b| {
-        let mut g = Conservative::default();
-        g.init(&table);
-        let mut t = SimTime::ZERO;
-        b.iter(|| {
-            t += window;
-            g.on_sample(t, load, &table)
-        })
-    });
-    group.bench_function("interactive", |b| {
-        let mut g = Interactive::for_table(&table);
-        g.init(&table);
-        let mut t = SimTime::ZERO;
-        b.iter(|| {
-            t += window;
-            g.on_sample(t, load, &table)
-        })
-    });
-    group.finish();
-}
-
-fn bench_energy_meter(c: &mut Criterion) {
-    let table = OppTable::snapdragon_8074();
-    let measured = calibrate(&table, &PowerModel::krait_like(), &CalibrationConfig::default());
-    let meter = EnergyMeter::new(measured);
-    let mut trace = ActivityTrace::new();
-    let freqs: Vec<_> = table.frequencies().collect();
-    for i in 0..10_000u64 {
-        trace.push(ActivitySample {
-            start: SimTime::from_millis(i * 20),
-            duration: SimDuration::from_millis(20),
-            freq: freqs[(i % 14) as usize],
-            busy: SimDuration::from_millis(i % 21),
-        });
-    }
-    let mut group = c.benchmark_group("energy");
-    group.throughput(Throughput::Elements(trace.samples().len() as u64));
-    group.bench_function("meter_10k_samples", |b| b.iter(|| meter.measure(&trace)));
-    group.finish();
-}
-
-fn bench_frame_diff(c: &mut Criterion) {
-    let mut a = FrameBuffer::new(72, 120);
-    a.hash_paint(a.bounds(), 1);
-    let mut b2 = a.clone();
-    b2.hash_paint(interlag_video::frame::Rect::new(20, 40, 30, 30), 2);
-    let mask = Mask::status_bar(72, 6);
-    let compiled = mask.compile(72, 120);
-    // Warm the digest caches so the digest benches measure the steady
-    // state (the matcher compares each frame against many candidates).
-    let _ = (a.digest(), b2.digest());
-    let mut group = c.benchmark_group("frame_diff");
-    group.throughput(Throughput::Elements(72 * 120));
-    group.bench_function("unmasked", |b| b.iter(|| a.count_diff(&b2, 0)));
-    group.bench_function("unmasked_early_exit", |b| b.iter(|| a.differs_more_than(&b2, 0, 0)));
-    group.bench_function("digest_gated_exact", |b| {
-        b.iter(|| MatchTolerance::EXACT.matches(&Mask::new(), &a, &b2))
-    });
-    group.bench_function("masked", |b| b.iter(|| mask.count_diff(&a, &b2, 0)));
-    group.bench_function("masked_compiled", |b| b.iter(|| compiled.count_diff(&a, &b2, 0)));
-    group.bench_function("masked_compiled_early_exit", |b| {
-        b.iter(|| compiled.differs_more_than(&a, &b2, 0, 0))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_suggester,
-    bench_matcher,
-    bench_device_sim,
-    bench_governors,
-    bench_energy_meter,
-    bench_frame_diff
-);
-criterion_main!(benches);

@@ -13,6 +13,9 @@
 //!   paper uses 5).
 //! * `INTERLAG_DATASETS` — comma-separated subset (e.g. `01,02`) for the
 //!   multi-dataset figures.
+//!
+//! A malformed value panics with the variable and the value, rather than
+//! silently falling back to a default or to an empty selection.
 
 use interlag_core::experiment::{Lab, LabConfig, StudyResult};
 use interlag_workloads::datasets::Dataset;
@@ -20,17 +23,36 @@ use interlag_workloads::gen::Workload;
 
 /// Repetitions per configuration, from `INTERLAG_REPS` (default 3).
 pub fn reps() -> u32 {
-    std::env::var("INTERLAG_REPS").ok().and_then(|v| v.parse().ok()).unwrap_or(3)
+    parse_reps(std::env::var("INTERLAG_REPS").ok().as_deref())
+}
+
+/// Parses an `INTERLAG_REPS` value: unset means 3, anything but a
+/// positive integer panics naming the variable and the value.
+fn parse_reps(raw: Option<&str>) -> u32 {
+    let Some(raw) = raw else { return 3 };
+    match raw.trim().parse() {
+        Ok(reps) if reps > 0 => reps,
+        _ => panic!("INTERLAG_REPS={raw:?}: expected a positive integer"),
+    }
 }
 
 /// The datasets a multi-dataset figure should cover, from
 /// `INTERLAG_DATASETS` (default: all five ten-minute datasets).
 pub fn selected_datasets() -> Vec<Dataset> {
-    let Ok(raw) = std::env::var("INTERLAG_DATASETS") else {
-        return Dataset::TEN_MINUTE.to_vec();
-    };
+    parse_datasets(std::env::var("INTERLAG_DATASETS").ok().as_deref())
+}
+
+/// Parses an `INTERLAG_DATASETS` value: unset means all five ten-minute
+/// datasets; a name that is not one of them panics naming the variable
+/// and the name.
+fn parse_datasets(raw: Option<&str>) -> Vec<Dataset> {
+    let Some(raw) = raw else { return Dataset::TEN_MINUTE.to_vec() };
     raw.split(',')
-        .filter_map(|name| Dataset::TEN_MINUTE.iter().copied().find(|d| d.name() == name.trim()))
+        .map(|name| {
+            Dataset::TEN_MINUTE.iter().copied().find(|d| d.name() == name.trim()).unwrap_or_else(
+                || panic!("INTERLAG_DATASETS={raw:?}: unknown dataset {name:?} (expected 01..05)"),
+            )
+        })
         .collect()
 }
 
@@ -78,14 +100,32 @@ mod tests {
 
     #[test]
     fn reps_default_and_parse() {
-        let r = reps();
-        assert!(r >= 1);
+        assert_eq!(parse_reps(None), 3);
+        assert_eq!(parse_reps(Some("5")), 5);
+        assert_eq!(parse_reps(Some(" 2 ")), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "INTERLAG_REPS=\"abc\"")]
+    fn reps_rejects_non_numbers() {
+        parse_reps(Some("abc"));
+    }
+
+    #[test]
+    #[should_panic(expected = "INTERLAG_REPS=\"0\"")]
+    fn reps_rejects_zero() {
+        parse_reps(Some("0"));
     }
 
     #[test]
     fn selected_datasets_default_is_all_five() {
-        if std::env::var("INTERLAG_DATASETS").is_err() {
-            assert_eq!(selected_datasets().len(), 5);
-        }
+        assert_eq!(parse_datasets(None), Dataset::TEN_MINUTE.to_vec());
+        assert_eq!(parse_datasets(Some("01, 03")), vec![Dataset::D01, Dataset::D03]);
+    }
+
+    #[test]
+    #[should_panic(expected = "INTERLAG_DATASETS=\"1,2\": unknown dataset \"1\"")]
+    fn datasets_reject_unknown_names() {
+        parse_datasets(Some("1,2"));
     }
 }

@@ -25,7 +25,8 @@
 //! The pre-kernel per-pixel implementation is kept verbatim in
 //! [`reference`]; property tests (`tests/kernel_equivalence.rs`) pin the
 //! kernels to it over random frames, tolerances and slice lengths, and
-//! the `perf_trajectory` bench reports the speedup per PR.
+//! the `perf` bench (`cargo bench -p interlag-bench --bench perf`) gates
+//! on the kernel being faster.
 
 /// High (sign) bit of every byte lane.
 const HI: u64 = 0x8080_8080_8080_8080;
@@ -267,8 +268,8 @@ mod sse2 {
 }
 
 /// The per-pixel implementations the kernels replaced, kept verbatim as
-/// the ground truth for equivalence tests and the baseline the
-/// `perf_trajectory` bench measures speedups against.
+/// the ground truth for equivalence tests and the baseline the `perf`
+/// bench measures the kernel speedup against.
 pub mod reference {
     /// Per-pixel [`count_over`](super::count_over): the PR-1 scalar diff.
     ///

@@ -627,7 +627,10 @@ fn cmd_agent(w: &Workload, args: &[String]) -> ExitCode {
                 addr,
                 epoch: flag_or!(args, &["--epoch"], 1u64),
                 attempt: flag_or!(args, &["--attempt"], 0u32),
-                policy: client_policy(args),
+                policy: match client_policy(args) {
+                    Ok(policy) => policy,
+                    Err(code) => return code,
+                },
             };
             run_tcp_agent(opts, cfg)
         }
@@ -649,15 +652,15 @@ fn cmd_agent(w: &Workload, args: &[String]) -> ExitCode {
 
 /// Reconnect policy shared by `agent --connect` and `agent --worker`:
 /// defaults unless overridden by `--retry-budget` / `--backoff-seed`.
-fn client_policy(args: &[String]) -> ClientPolicy {
+fn client_policy(args: &[String]) -> Result<ClientPolicy, ExitCode> {
     let mut policy = ClientPolicy::default();
-    if let Ok(Some(budget)) = numeric_flag(args, &["--retry-budget"]) {
+    if let Some(budget) = numeric_flag(args, &["--retry-budget"])? {
         policy.retry_budget = budget;
     }
-    if let Ok(Some(seed)) = numeric_flag(args, &["--backoff-seed"]) {
+    if let Some(seed) = numeric_flag(args, &["--backoff-seed"])? {
         policy.backoff_seed = seed;
     }
-    policy
+    Ok(policy)
 }
 
 /// `interlag agent --worker`: connect to a `sweep --transport tcp
@@ -667,6 +670,10 @@ fn cmd_worker(w: &Workload, args: &[String]) -> ExitCode {
     let Some(addr) = flag_value(args, &["--connect"]) else {
         eprintln!("interlag: agent --worker requires --connect ADDR");
         return usage();
+    };
+    let policy = match client_policy(args) {
+        Ok(policy) => policy,
+        Err(code) => return code,
     };
     let scratch = flag_value(args, &["--scratch"]).unwrap_or_else(|| {
         std::env::temp_dir()
@@ -679,7 +686,6 @@ fn cmd_worker(w: &Workload, args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let jitter = flag_opt!(args, &["--jitter-us"]);
-    let policy = client_policy(args);
     // A supervisor kill (lease revoked, watchdog fired) unwinds the task
     // as `AgentDeath` by design; the worker catches it and goes back to
     // the queue. Keep the default hook's backtrace for real panics only.

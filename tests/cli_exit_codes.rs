@@ -138,6 +138,21 @@ fn sweep_usage_errors_exit_two() {
         2,
         "agent without --of/--stage/--journal"
     );
+    for (flag, value) in [("--retry-budget", "abc"), ("--backoff-seed", "x")] {
+        assert_eq!(
+            exit_code(interlag_cmd().args([
+                "agent",
+                "mini",
+                "--worker",
+                "--connect",
+                "127.0.0.1:1",
+                flag,
+                value
+            ])),
+            2,
+            "agent --worker with a malformed {flag}"
+        );
+    }
 }
 
 #[test]
