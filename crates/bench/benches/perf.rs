@@ -1,13 +1,15 @@
-//! Speedup gates for the two optimised hot paths of the markup pipeline,
+//! Speedup gates for the three optimised hot paths of the study pipeline,
 //! each timed in this process against the baseline it replaced:
 //!
 //! 1. **kernel** — the chunked-u64 diff kernels against the per-pixel
 //!    scalar reference, on 1080p-class frames.
 //! 2. **matcher** — one batched forward walk marking up every pending lag
 //!    against the per-lag walker it replaced.
+//! 3. **device** — the device loop skipping steady-state quanta against
+//!    its one-quantum-per-step reference, on a paper dataset.
 //!
-//! Both figures are ratios of two timings on the same host, so the gate
-//! holds on any machine: the bench panics if either optimised path is not
+//! Every figure is a ratio of two timings on the same host, so the gate
+//! holds on any machine: the bench panics if any optimised path is not
 //! faster than its baseline. End-to-end and per-layer performance is
 //! measured by `python3 benchmark/run.py`.
 //!
@@ -19,14 +21,22 @@ use std::time::Instant;
 
 use interlag_bench::banner;
 use interlag_core::matcher::{mark_up_with_policy, MatchPolicy, Matcher};
+use interlag_device::device::{Device, DeviceConfig, RunArtifacts};
+use interlag_device::reference;
+use interlag_evdev::replay::ReplayAgent;
 use interlag_evdev::time::{SimDuration, SimTime};
+use interlag_governors::{Ondemand, OndemandTunables};
 use interlag_video::frame::FrameBuffer;
 use interlag_video::kernel;
 use interlag_video::mask::{Mask, MatchTolerance};
 use interlag_video::stream::{VideoStream, FRAME_PERIOD_30FPS};
+use interlag_workloads::datasets::Dataset;
 
-/// Timed calls per path; both sections together take about a second.
+/// Timed calls per path; the kernel and matcher sections together take
+/// about a second.
 const SAMPLES: usize = 25;
+/// Timed device runs per loop: each is a ten-minute paper dataset.
+const DEVICE_SAMPLES: usize = 7;
 
 /// Median seconds per call over `samples` timed invocations (after one
 /// warm-up call).
@@ -157,6 +167,45 @@ fn matcher_section(samples: usize) -> MatcherNumbers {
     }
 }
 
+struct DeviceNumbers {
+    sim_s: f64,
+    fixed_step_ms: f64,
+    skip_ms: f64,
+    speedup: f64,
+}
+
+/// One study repetition's device run — dataset 01 under ondemand with
+/// HDMI capture — through the skipping loop and through the
+/// one-quantum-per-step reference.
+fn device_section(samples: usize) -> DeviceNumbers {
+    let w = Dataset::D01.build();
+    let trace = w.script.record_trace();
+    let device = Device::new(DeviceConfig::default());
+    let until = w.run_until();
+    let run = |skip: bool| -> RunArtifacts {
+        let mut gov = Ondemand::new(OndemandTunables::default());
+        let replayer = ReplayAgent::new(trace.clone());
+        if skip {
+            device.run(&w.script, replayer, &mut gov, until)
+        } else {
+            reference::run(&device, &w.script, replayer, &mut gov, until)
+        }
+        .expect("clean run")
+    };
+    let (fast, slow) = (run(true), run(false));
+    assert_eq!(fast.activity, slow.activity, "skipping changed the activity trace");
+    assert_eq!(fast.interactions, slow.interactions, "skipping changed the interactions");
+
+    let fixed_step = time_median(samples, || run(false));
+    let skip = time_median(samples, || run(true));
+    DeviceNumbers {
+        sim_s: until.as_secs_f64(),
+        fixed_step_ms: fixed_step * 1e3,
+        skip_ms: skip * 1e3,
+        speedup: fixed_step / skip,
+    }
+}
+
 fn main() {
     banner("PERF — optimised hot paths vs their baselines", "speedup = baseline / optimised");
 
@@ -177,6 +226,14 @@ fn main() {
         m.per_lag_ms, m.batched_ms, m.speedup, m.lags, m.frames
     );
 
+    let d = device_section(DEVICE_SAMPLES);
+    println!(
+        "device   skip vs fixed-step loop: fixed-step {:.2} ms, skip {:.2} ms, speedup {:.1}x \
+         (dataset 01, ondemand, HDMI, {:.0} sim-s)",
+        d.fixed_step_ms, d.skip_ms, d.speedup, d.sim_s
+    );
+
     assert!(k.speedup > 1.0, "kernel not faster than scalar reference: {:.3}x", k.speedup);
     assert!(m.speedup > 1.0, "batched markup not faster than per-lag walks: {:.3}x", m.speedup);
+    assert!(d.speedup > 1.0, "skipping device loop not faster than fixed-step: {:.3}x", d.speedup);
 }

@@ -52,8 +52,8 @@ use crate::suggester::{Suggester, SuggesterConfig};
 /// repetition attempt may run before it is cooperatively cancelled.
 ///
 /// The deadline is checked at the cancellation points threaded through
-/// the pipeline — every [`interlag_device::device::CANCEL_STRIDE`] device
-/// quanta, every [`crate::matcher::MATCH_CANCEL_STRIDE`] matcher frames
+/// the pipeline — every [`interlag_device::device::CANCEL_INTERVAL`] of
+/// simulated device time, every [`crate::matcher::MATCH_CANCEL_STRIDE`] matcher frames
 /// and between escalation-ladder steps — so a wedged governor, a stalled
 /// capture path or a runaway matcher walk cannot hang the sweep. A
 /// cancelled attempt is charged against the retry budget; a repetition

@@ -116,3 +116,22 @@ fn sim_exports_are_byte_stable_across_worker_counts() {
     assert_eq!(serial.chrome_trace_json_sim_only(), parallel.chrome_trace_json_sim_only());
     assert_eq!(serial.text_report_deterministic(), parallel.text_report_deterministic());
 }
+
+/// Stage 1 and the oracle stage each run their own worker pool; the
+/// wall-clock report folds both into one row per worker.
+#[test]
+fn two_worker_study_reports_each_worker_once() {
+    let obs = Recorder::enabled();
+    faulted_lab(2, obs.clone()).study(&small_workload()).expect("study");
+    let doc: serde_json::Value =
+        serde_json::from_str(&obs.chrome_trace_json()).expect("trace JSON parses");
+    let mut workers: Vec<i64> = doc["traceEvents"]
+        .as_array()
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e["name"] == "worker_time")
+        .map(|e| e["tid"].as_i64().expect("worker id"))
+        .collect();
+    workers.sort_unstable();
+    assert_eq!(workers, [1, 2], "one wall-clock row per worker");
+}

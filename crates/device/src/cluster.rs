@@ -25,13 +25,13 @@ use interlag_journal::CancelToken;
 use interlag_power::energy::ActivityTrace;
 use interlag_power::opp::OppTable;
 
-use crate::device::{run_quanta, DeviceConfig, InteractionRecord};
+use crate::device::{run_quanta, DeviceConfig, InteractionRecord, Stepping};
 use crate::dvfs::Governor;
 use crate::error::DeviceError;
 use crate::script::DeviceScript;
 
 #[cfg(doc)]
-use crate::device::{Device, CANCEL_STRIDE};
+use crate::device::{Device, CANCEL_INTERVAL};
 
 /// One CPU cluster: a name, its core count and its OPP table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -269,7 +269,7 @@ impl ClusterDevice {
     }
 
     /// Like [`ClusterDevice::run`], with a watchdog token polled every
-    /// [`CANCEL_STRIDE`] quanta.
+    /// [`CANCEL_INTERVAL`] of simulated time.
     ///
     /// # Errors
     ///
@@ -288,8 +288,9 @@ impl ClusterDevice {
         cancel: &CancelToken,
     ) -> Result<ClusterRunArtifacts, DeviceError> {
         let disabled = &interlag_obs::DISABLED;
+        let (config, skip) = (&self.config, Stepping::Skip);
         let (run, _) =
-            run_quanta(&self.config, disabled, script, replayer, governors, until, None, cancel)?;
+            run_quanta(config, disabled, script, replayer, governors, until, None, cancel, skip)?;
         Ok(run)
     }
 }

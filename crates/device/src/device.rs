@@ -18,7 +18,12 @@
 //!
 //! The loop advances in 1 ms quanta: well below the 33 ms frame period and
 //! the 20 ms governor sampling period, so every externally visible timing
-//! is accurate to a fraction of the measurement resolution.
+//! is accurate to a fraction of the measurement resolution. Most quanta
+//! change nothing but the clock — an idle core, or a long phase
+//! grinding on at a fixed frequency — so each step of the loop computes
+//! its *next event horizon* and runs every quantum up to it at once, with
+//! byte-identical results. [`reference`](mod@reference) runs the same
+//! loop one quantum per step, as the ground truth for that equivalence.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -37,7 +42,7 @@ use interlag_video::capture::{CameraCapture, CaptureLink};
 use interlag_video::frame::FrameBuffer;
 use interlag_video::stream::VideoStream;
 
-use crate::cluster::{ClusterDeviceConfig, ClusterRunArtifacts, ClusterTopology};
+use crate::cluster::{ClusterDeviceConfig, ClusterRunArtifacts, ClusterSpec, ClusterTopology};
 use crate::dvfs::{Governor, LoadSample};
 use crate::error::DeviceError;
 use crate::render::{DecorationState, Renderer, ScreenConfig};
@@ -45,10 +50,45 @@ use crate::scene::{Scene, SceneUpdate};
 use crate::script::{DeviceScript, InteractionCategory};
 use crate::task::{Task, TaskKind, TaskSpec};
 
-/// How many quanta the execution loop runs between watchdog polls. At the
-/// default 1 ms quantum this bounds cancellation latency to 64 ms of
-/// simulated work per poll — far below any sensible rep deadline.
-pub const CANCEL_STRIDE: u64 = 64;
+/// How often, in simulated time, the execution loop polls its watchdog
+/// token: on the first quantum that starts at or after each multiple of
+/// the interval, whether it runs alone or inside a longer step. Skipping
+/// therefore never stretches cancellation latency past one interval of
+/// simulated work — far below any sensible rep deadline.
+pub const CANCEL_INTERVAL: SimDuration = SimDuration::from_millis(64);
+
+/// The run's watchdog token, polled on the first quantum that starts at
+/// or after each multiple of [`CANCEL_INTERVAL`], so the common
+/// (no-watchdog) case costs one compare per poll point and deadline
+/// tokens read the clock rarely.
+struct Watchdog<'a> {
+    cancel: &'a CancelToken,
+    /// The next multiple of the interval.
+    next: SimTime,
+}
+
+impl Watchdog<'_> {
+    /// Polls the token if a quantum starting at `now` is due to.
+    fn poll(&mut self, now: SimTime) -> Result<(), DeviceError> {
+        if now >= self.next {
+            if self.cancel.is_cancelled() {
+                return Err(DeviceError::Cancelled);
+            }
+            let every = CANCEL_INTERVAL.as_micros();
+            self.next = SimTime::from_micros((now.as_micros() / every + 1) * every);
+        }
+        Ok(())
+    }
+}
+
+/// How far one step of the execution loop advances.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stepping {
+    /// Up to the next event horizon.
+    Skip,
+    /// One quantum: the [`reference`](mod@reference) semantics.
+    EveryQuantum,
+}
 
 /// How the screen output is captured during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -230,9 +270,9 @@ impl Device {
     }
 
     /// Like [`Device::run`], with a watchdog token polled cooperatively in
-    /// the quantum loop (every [`CANCEL_STRIDE`] quanta, so a wedged
-    /// governor cannot stall a sweep for longer than its deadline plus one
-    /// stride).
+    /// the quantum loop (every [`CANCEL_INTERVAL`] of simulated time, so a
+    /// wedged governor cannot stall a sweep for longer than its deadline
+    /// plus one interval).
     ///
     /// # Errors
     ///
@@ -246,12 +286,26 @@ impl Device {
         until: SimTime,
         cancel: &CancelToken,
     ) -> Result<RunArtifacts, DeviceError> {
+        self.run_configured(script, replayer, governor, until, cancel, Stepping::Skip)
+    }
+
+    /// Runs with the configured capture path (a camera link for
+    /// [`CaptureMode::Camera`]).
+    fn run_configured<R: Replayer>(
+        &self,
+        script: &DeviceScript,
+        replayer: R,
+        governor: &mut dyn Governor,
+        until: SimTime,
+        cancel: &CancelToken,
+        stepping: Stepping,
+    ) -> Result<RunArtifacts, DeviceError> {
         match self.config.capture {
             CaptureMode::Camera { seed } => {
-                let mut camera = CameraCapture::new(seed);
-                self.run_inner(script, replayer, governor, until, Some(&mut camera), cancel)
+                let camera = &mut CameraCapture::new(seed);
+                self.run_inner(script, replayer, governor, until, Some(camera), cancel, stepping)
             }
-            _ => self.run_inner(script, replayer, governor, until, None, cancel),
+            _ => self.run_inner(script, replayer, governor, until, None, cancel, stepping),
         }
     }
 
@@ -271,7 +325,8 @@ impl Device {
         until: SimTime,
         link: &mut dyn CaptureLink,
     ) -> Result<RunArtifacts, DeviceError> {
-        self.run_inner(script, replayer, governor, until, Some(link), &CancelToken::none())
+        let none = &CancelToken::none();
+        self.run_inner(script, replayer, governor, until, Some(link), none, Stepping::Skip)
     }
 
     /// [`Device::run_with_capture`] with a watchdog token, as
@@ -289,9 +344,10 @@ impl Device {
         link: &mut dyn CaptureLink,
         cancel: &CancelToken,
     ) -> Result<RunArtifacts, DeviceError> {
-        self.run_inner(script, replayer, governor, until, Some(link), cancel)
+        self.run_inner(script, replayer, governor, until, Some(link), cancel, Stepping::Skip)
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn run_inner<'a, R: Replayer>(
         &'a self,
         script: &DeviceScript,
@@ -300,6 +356,7 @@ impl Device {
         until: SimTime,
         link: Option<&'a mut dyn CaptureLink>,
         cancel: &CancelToken,
+        stepping: Stepping,
     ) -> Result<RunArtifacts, DeviceError> {
         let cfg = &self.config;
         // Boot screen: the default scene, rendered before the first quantum.
@@ -320,6 +377,7 @@ impl Device {
             until,
             recording,
             cancel,
+            stepping,
         )?;
         Ok(RunArtifacts {
             governor_name: run.governor_names.into_iter().next().unwrap_or_default(),
@@ -346,6 +404,21 @@ pub(crate) struct Recording<'a> {
     next_frame_at: SimTime,
 }
 
+impl Recording<'_> {
+    /// Captures the current screen for every frame due by `qend`.
+    fn capture_due(&mut self, qend: SimTime) -> Result<(), DeviceError> {
+        while self.next_frame_at <= qend {
+            let frame = match self.link.as_deref_mut() {
+                Some(l) => l.capture(self.next_frame_at, &self.screen),
+                None => self.screen.clone(),
+            };
+            self.stream.push(self.next_frame_at, frame)?;
+            self.next_frame_at += self.stream.frame_period();
+        }
+        Ok(())
+    }
+}
+
 /// One active core's execution state: a cluster of a `ClusterDevice`, or
 /// the whole CPU of a [`Device`].
 #[derive(Default)]
@@ -363,10 +436,95 @@ struct Core {
     mig_busy: SimDuration,
 }
 
+impl Core {
+    /// The task the core runs next: foreground work first.
+    fn front(&self) -> Option<&Task> {
+        self.fg.front().or_else(|| self.bg.front())
+    }
+
+    /// Runs `quanta` quanta from `start` in which no phase completes: the
+    /// front task, if any, consumes every cycle of each.
+    fn run_steady(&mut self, start: SimTime, quanta: u64, quantum: SimDuration) {
+        let budget = self.freq.cycles_in(quantum);
+        let queue = if self.fg.is_empty() { &mut self.bg } else { &mut self.fg };
+        let consumed = match queue.front_mut() {
+            Some(task) => {
+                let (_, completions) = task.advance(budget * quanta);
+                debug_assert!(completions.is_empty(), "a phase completed mid-step");
+                budget
+            }
+            None => 0,
+        };
+        let busy = busy_time(consumed, budget, self.freq, quantum) * quanta;
+        self.account(start, quantum * quanta, busy);
+    }
+
+    /// Logs `span` from `start` at the current frequency, `busy` of it
+    /// executing, into the activity trace and both load windows.
+    fn account(&mut self, start: SimTime, span: SimDuration, busy: SimDuration) {
+        self.activity.push(ActivitySample { start, duration: span, freq: self.freq, busy });
+        self.busy_acc += busy;
+        self.mig_busy += busy;
+    }
+}
+
+/// Samples, in cluster order, every governor whose period is due at
+/// `at`, a quantum's end, counting samples and frequency transitions;
+/// `true` if a frequency changed.
+fn sample_due(
+    cores: &mut [Core],
+    governors: &mut [&mut dyn Governor],
+    clusters: &[ClusterSpec],
+    at: SimTime,
+    samples: &mut u64,
+    transitions: &mut u64,
+) -> bool {
+    let mut changed = false;
+    for ((core, g), spec) in cores.iter_mut().zip(governors.iter_mut()).zip(clusters) {
+        if at >= core.next_sample_at {
+            let sample = LoadSample { busy: core.busy_acc, window: at - core.last_sample_at };
+            let before = core.freq;
+            core.freq = spec.opps.quantize_up(g.on_sample(at, sample, &spec.opps));
+            *samples += 1;
+            *transitions += u64::from(core.freq != before);
+            changed |= core.freq != before;
+            core.busy_acc = SimDuration::ZERO;
+            core.last_sample_at = at;
+            core.next_sample_at = at + g.sample_period();
+        }
+    }
+    changed
+}
+
+/// The longest step, in quanta, in which only the last quantum may
+/// complete a phase: every front task's current phase must outlast the
+/// quanta before it.
+fn phase_quanta(cores: &[Core], quantum: SimDuration) -> u64 {
+    let per_core = cores.iter().filter_map(|core| {
+        let budget = core.freq.cycles_in(quantum);
+        let whole = core.front()?.remaining_in_phase().saturating_sub(1).checked_div(budget);
+        Some(whole.map_or(1, |quanta| quanta + 1))
+    });
+    per_core.min().unwrap_or(u64::MAX)
+}
+
+/// Busy time of one quantum in which a core at `freq` consumed `consumed`
+/// of its `budget` cycles.
+fn busy_time(consumed: u64, budget: u64, freq: Frequency, quantum: SimDuration) -> SimDuration {
+    if consumed >= budget {
+        quantum
+    } else {
+        SimDuration::from_micros(consumed * 1_000 / freq.as_khz() as u64).min(quantum)
+    }
+}
+
 /// The device execution loop: runs `script` against `replayer` from a
 /// freshly-booted state until `until`, one governor per cluster of
 /// `machine` in cluster order, recording video only when `recording` is
 /// given. Loop counters are flushed to `obs` once, at the end.
+///
+/// Each step runs one quantum or, with [`Stepping::Skip`], every quantum
+/// up to the next event horizon at once.
 ///
 /// # Panics
 ///
@@ -381,11 +539,13 @@ pub(crate) fn run_quanta<R: Replayer>(
     until: SimTime,
     mut recording: Option<Recording<'_>>,
     cancel: &CancelToken,
+    stepping: Stepping,
 ) -> Result<(ClusterRunArtifacts, Option<VideoStream>), DeviceError> {
     let clusters = machine.topology.clusters();
     let n = clusters.len();
     assert_eq!(governors.len(), n, "one governor per cluster");
     let quantum = machine.quantum;
+    let q_us = quantum.as_micros();
     // Work that burns cycles and changes nothing on screen.
     let task = |cycles, kind| Task::new(TaskSpec::single(cycles, SceneUpdate::Nop), kind);
 
@@ -445,15 +605,10 @@ pub(crate) fn run_quanta<R: Replayer>(
     let mut obs_transitions = 0u64;
 
     let mut now = SimTime::ZERO;
-    let mut quanta = 0u64;
+    let mut watchdog = Watchdog { cancel, next: SimTime::ZERO };
     while now < until {
-        // Watchdog poll, strided so the common (no-watchdog) case costs
-        // one branch per CANCEL_STRIDE quanta and deadline tokens read
-        // the clock rarely.
-        if quanta.is_multiple_of(CANCEL_STRIDE) && cancel.is_cancelled() {
-            return Err(DeviceError::Cancelled);
-        }
-        quanta += 1;
+        watchdog.poll(now)?;
+        // The end of the step's first quantum: steps 1–4 run in it.
         let qend = now + quantum;
 
         // 1. Deliver input events due by `now`. Every cluster's governor
@@ -591,8 +746,84 @@ pub(crate) fn run_quanta<R: Replayer>(
             }
         }
 
-        // 4c + 5. Execute and account the quantum on every cluster, in
-        // cluster order.
+        // 4c. The step: this quantum and, when skipping, every quantum
+        // after it up to the next event horizon — the earliest instant at
+        // which steps 1–4 would fire again (an event tested against a
+        // quantum's end counts one quantum early) or the decorations
+        // change. Until its last quantum every core is idle or grinds
+        // through a phase that cannot complete, and the screen stands
+        // still; a scene change in this quantum repaints at its end, so
+        // it runs alone when recording. Governor samples end a step only
+        // if they change a frequency, and the watchdog is polled within
+        // it (step 5).
+        let mut steps = 1;
+        // The scene step 3b of the step's later quanta sees.
+        let spinning = scene.spinner;
+        if stepping == Stepping::Skip && !(dirty && recording.is_some()) {
+            let ending = |at: SimTime| SimTime::from_micros(at.as_micros().saturating_sub(q_us));
+            let mut horizon = until;
+            // Without a spinner the spawn grid only re-anchors; that is
+            // replayed after the step rather than ending it.
+            if spinning {
+                horizon = horizon.min(next_render_spawn);
+            }
+            if let Some(at) = replayer.next_due() {
+                horizon = horizon.min(at);
+            }
+            if let Some(work) = script.background.get(next_bg) {
+                horizon = horizon.min(work.start);
+            }
+            if let Some(at) = next_tick_at {
+                horizon = horizon.min(at);
+            }
+            for (at, ..) in &pending_updates {
+                horizon = horizon.min(ending(*at));
+            }
+            if n > 1 {
+                horizon = horizon.min(ending(next_mig_at));
+            }
+            if recording.is_some() {
+                horizon = horizon.min(DecorationState::next_change(now, &scene));
+            }
+            for core in &cores {
+                for (at, _) in &core.parked {
+                    horizon = horizon.min(*at);
+                }
+            }
+            let before_horizon = horizon.saturating_since(now).as_micros().div_ceil(q_us);
+            steps = before_horizon.max(1).min(phase_quanta(&cores, quantum));
+        }
+
+        // 5. Execute and account the step on every cluster, in cluster
+        // order: the steady quanta in bulk, stopping at each quantum
+        // boundary where a governor samples (6) — a new frequency changes
+        // every later quantum's budget, so phases may complete sooner —
+        // or the watchdog is due; then the last quantum cycle by cycle.
+        let mut done = 0;
+        while done + 1 < steps {
+            let due = cores.iter().map(|c| c.next_sample_at).fold(watchdog.next, SimTime::min);
+            let upto =
+                due.saturating_since(now).as_micros().div_ceil(q_us).clamp(done + 1, steps - 1);
+            for core in cores.iter_mut() {
+                core.run_steady(now + quantum * done, upto - done, quantum);
+            }
+            done = upto;
+            let at = now + quantum * done;
+            let (samples, transitions) = (&mut obs_samples, &mut obs_transitions);
+            if sample_due(&mut cores, governors, clusters, at, samples, transitions) {
+                steps = steps.min(done.saturating_add(phase_quanta(&cores, quantum)));
+            }
+            watchdog.poll(at)?;
+        }
+        // The start and end of the step's last quantum.
+        let last = now + quantum * (steps - 1);
+        let end = last + quantum;
+        // 3b for the later quanta: with no spinner, the spawn grid
+        // re-anchors at each quantum start that reaches it.
+        while !spinning && next_render_spawn <= last {
+            let behind = next_render_spawn.saturating_since(now).as_micros().div_ceil(q_us);
+            next_render_spawn = now + quantum * behind + crate::render::SPINNER_FRAME_PERIOD;
+        }
         for core in cores.iter_mut() {
             let budget = core.freq.cycles_in(quantum);
             let khz = core.freq.as_khz() as u64;
@@ -608,12 +839,12 @@ pub(crate) fn run_quanta<R: Replayer>(
                 let mut block_at = None;
                 for comp in completions {
                     let at = before + comp.at_consumed_cycles;
-                    let ts = now + SimDuration::from_micros((at * 1_000).div_ceil(khz));
+                    let ts = last + SimDuration::from_micros((at * 1_000).div_ceil(khz));
                     if comp.wait.is_zero() {
                         dirty |= scene.apply(&comp.update);
                         match comp.kind {
                             TaskKind::Foreground { id } if comp.task_finished => {
-                                interactions[id].service_time = Some(ts.min(qend));
+                                interactions[id].service_time = Some(ts.min(end));
                             }
                             TaskKind::UiRender if comp.task_finished => spinner_frame += 1,
                             _ => {}
@@ -621,7 +852,7 @@ pub(crate) fn run_quanta<R: Replayer>(
                     } else {
                         // The update (and, for final phases, the service
                         // point) becomes visible only after the wait.
-                        let visible_at = ts.min(qend) + comp.wait;
+                        let visible_at = ts.min(end) + comp.wait;
                         block_at = Some(visible_at);
                         pending_updates.push((
                             visible_at,
@@ -641,40 +872,20 @@ pub(crate) fn run_quanta<R: Replayer>(
                     break; // cannot happen, but never spin
                 }
             }
-            let busy = if consumed >= budget {
-                quantum
-            } else {
-                SimDuration::from_micros(consumed * 1_000 / khz).min(quantum)
-            };
-            core.activity.push(ActivitySample {
-                start: now,
-                duration: quantum,
-                freq: core.freq,
-                busy,
-            });
-            core.busy_acc += busy;
-            core.mig_busy += busy;
+            let busy = busy_time(consumed, budget, core.freq, quantum);
+            core.account(last, quantum, busy);
         }
 
         // 6. Governor sampling, per cluster.
-        for ((core, g), spec) in cores.iter_mut().zip(governors.iter_mut()).zip(clusters) {
-            if qend >= core.next_sample_at {
-                let sample = LoadSample { busy: core.busy_acc, window: qend - core.last_sample_at };
-                let before = core.freq;
-                core.freq = spec.opps.quantize_up(g.on_sample(qend, sample, &spec.opps));
-                obs_samples += 1;
-                obs_transitions += u64::from(core.freq != before);
-                core.busy_acc = SimDuration::ZERO;
-                core.last_sample_at = qend;
-                core.next_sample_at = qend + g.sample_period();
-            }
-        }
+        sample_due(&mut cores, governors, clusters, end, &mut obs_samples, &mut obs_transitions);
 
-        // 7. Repaint if the scene changed, or just the decorations that
-        // changed, and 8. capture the frames due in this quantum — when
-        // recording video.
+        // 7. When recording video: capture the frames due before the last
+        // quantum (the screen stood still), repaint if the scene changed
+        // or just the decorations that changed, and 8. capture the frames
+        // due in the last quantum.
         if let Some(rec) = recording.as_mut() {
-            let deco = DecorationState::at(qend, &scene, spinner_frame);
+            rec.capture_due(last)?;
+            let deco = DecorationState::at(end, &scene, spinner_frame);
             if dirty {
                 rec.screen = Arc::new(rec.renderer.render(&scene, &deco));
                 dirty = false;
@@ -682,17 +893,10 @@ pub(crate) fn run_quanta<R: Replayer>(
                 rec.screen = Arc::new(rec.renderer.redecorate(&rec.screen, &scene, &deco));
             }
             rec.deco = deco;
-            while rec.next_frame_at <= qend {
-                let frame = match rec.link.as_deref_mut() {
-                    Some(l) => l.capture(rec.next_frame_at, &rec.screen),
-                    None => rec.screen.clone(),
-                };
-                rec.stream.push(rec.next_frame_at, frame)?;
-                rec.next_frame_at += rec.stream.frame_period();
-            }
+            rec.capture_due(end)?;
         }
 
-        now = qend;
+        now = end;
     }
 
     let video = recording.map(|r| r.stream);
@@ -758,6 +962,72 @@ fn triggers(decoder: &mut MtDecoder, te: &TimedEvent, faults: &mut usize) -> Vec
 impl Default for Device {
     fn default() -> Self {
         Device::new(DeviceConfig::default())
+    }
+}
+
+/// The execution loop with every step clamped to one quantum: the
+/// per-quantum semantics the skipping loop must reproduce byte for byte.
+/// Kept as the ground truth for the equivalence property tests
+/// (`tests/device_equivalence.rs`) and as the baseline the `perf` bench
+/// measures the skip speedup against.
+pub mod reference {
+    use super::*;
+
+    /// [`Device::run`], one quantum per step.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Device::run`].
+    pub fn run<R: Replayer>(
+        device: &Device,
+        script: &DeviceScript,
+        replayer: R,
+        governor: &mut dyn Governor,
+        until: SimTime,
+    ) -> Result<RunArtifacts, DeviceError> {
+        let (none, every) = (&CancelToken::none(), Stepping::EveryQuantum);
+        device.run_configured(script, replayer, governor, until, none, every)
+    }
+
+    /// [`Device::run_with_capture`], one quantum per step.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Device::run`].
+    pub fn run_with_capture<R: Replayer>(
+        device: &Device,
+        script: &DeviceScript,
+        replayer: R,
+        governor: &mut dyn Governor,
+        until: SimTime,
+        link: &mut dyn CaptureLink,
+    ) -> Result<RunArtifacts, DeviceError> {
+        let (none, every) = (&CancelToken::none(), Stepping::EveryQuantum);
+        device.run_inner(script, replayer, governor, until, Some(link), none, every)
+    }
+
+    /// [`ClusterDevice::run`](crate::cluster::ClusterDevice::run), one
+    /// quantum per step.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ClusterDevice::run`](crate::cluster::ClusterDevice::run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `governors` does not match the topology's cluster count.
+    pub fn run_clusters<R: Replayer>(
+        device: &crate::cluster::ClusterDevice,
+        script: &DeviceScript,
+        replayer: R,
+        governors: &mut [&mut dyn Governor],
+        until: SimTime,
+    ) -> Result<ClusterRunArtifacts, DeviceError> {
+        let (none, disabled) = (&CancelToken::none(), &interlag_obs::DISABLED);
+        let (config, every) = (device.config(), Stepping::EveryQuantum);
+        let (run, _) =
+            run_quanta(config, disabled, script, replayer, governors, until, None, none, every)?;
+        Ok(run)
     }
 }
 
@@ -1021,6 +1291,160 @@ mod tests {
         let baseline = run_fixed(960, &script);
         assert_eq!(run.interactions, baseline.interactions);
         assert_eq!(run.activity, baseline.activity);
+    }
+
+    /// 960 MHz, sampled every 30 ms — off the 100 ms spinner grid — and
+    /// remembering when it last sampled.
+    struct Probe {
+        pinned: FixedGovernor,
+        last_sample: Option<SimTime>,
+    }
+
+    impl Probe {
+        const PERIOD: SimDuration = SimDuration::from_millis(30);
+
+        fn new() -> Self {
+            Probe { pinned: FixedGovernor::new(Frequency::from_mhz(960)), last_sample: None }
+        }
+    }
+
+    impl Governor for Probe {
+        fn name(&self) -> &str {
+            self.pinned.name()
+        }
+
+        fn init(&mut self, table: &OppTable) -> Frequency {
+            self.pinned.init(table)
+        }
+
+        fn sample_period(&self) -> SimDuration {
+            Probe::PERIOD
+        }
+
+        fn on_sample(&mut self, now: SimTime, load: LoadSample, table: &OppTable) -> Frequency {
+            self.last_sample = Some(now);
+            self.pinned.on_sample(now, load, table)
+        }
+    }
+
+    /// Replays a trace and fires `token` from inside its poll at `at`.
+    struct CancelAt {
+        agent: ReplayAgent,
+        token: CancelToken,
+        at: SimTime,
+    }
+
+    impl Replayer for CancelAt {
+        fn poll(&mut self, now: SimTime) -> Vec<TimedEvent> {
+            if now >= self.at {
+                self.token.cancel();
+            }
+            self.agent.poll(now)
+        }
+
+        fn is_finished(&self) -> bool {
+            self.agent.is_finished()
+        }
+
+        fn stats(&self) -> ReplayStats {
+            self.agent.stats()
+        }
+
+        fn next_due(&self) -> Option<SimTime> {
+            // Asks to be polled at `at`, so the token fires exactly then.
+            let at = Some(self.at).filter(|_| !self.token.is_cancelled());
+            self.agent.next_due().into_iter().chain(at).min()
+        }
+    }
+
+    #[test]
+    fn watchdog_latency_is_bounded_in_simulated_time_across_idle_stretches() {
+        // One tap, then seconds of idle the loop crosses in long steps.
+        let mut script = simple_script();
+        script.interactions.truncate(1);
+        script.background.clear();
+        script.tick = None;
+        let device = Device::default();
+        let token = CancelToken::manual();
+        let at = SimTime::from_millis(2_500);
+        let replayer =
+            CancelAt { agent: ReplayAgent::new(script.record_trace()), token: token.clone(), at };
+        let mut gov = Probe::new();
+        let err = device
+            .run_cancellable(&script, replayer, &mut gov, SimTime::from_secs(10), &token)
+            .expect_err("the token fires mid-run");
+        assert_eq!(err, DeviceError::Cancelled);
+        let last = gov.last_sample.expect("sampled before the cancel");
+        assert!(last >= at, "the run reached the cancel point ({last})");
+        assert!(
+            last <= at + CANCEL_INTERVAL + Probe::PERIOD,
+            "sampled at {last} after a cancel at {at}"
+        );
+    }
+
+    #[test]
+    fn render_spawn_grid_survives_a_long_idle_stretch() {
+        // 2.5 s of idle, then a tap starts a ~417 ms phase that ends by
+        // showing a spinner for ~0.9 s. The spawn grid is the one piece of
+        // loop state an idle device changes: it is re-anchored every
+        // SPINNER_FRAME_PERIOD while no spinner shows, across long steps.
+        let script = DeviceScript {
+            interactions: vec![InteractionSpec {
+                label: "spin".into(),
+                start: SimTime::from_millis(2_537),
+                gesture: Gesture::tap(Point::new(20, 30)),
+                widget: Some(Rect::new(10, 20, 30, 30)),
+                response: Some(TaskSpec::new(vec![
+                    crate::task::Phase::new(
+                        400_000_000,
+                        SceneUpdate::replace(Scene::new(3).with_spinner()),
+                    ),
+                    crate::task::Phase::with_wait(
+                        1_000_000,
+                        SimDuration::from_millis(900),
+                        SceneUpdate::SetSpinner(false),
+                    ),
+                ])),
+                category: InteractionCategory::Common,
+            }],
+            background: Vec::new(),
+            tick: None,
+        };
+        // One frame per quantum: the video shows the screen at every
+        // quantum's end, so it times each completed render pass exactly.
+        let period = SimDuration::from_millis(1);
+        let device = Device::new(DeviceConfig { frame_period: period, ..DeviceConfig::default() });
+        let trace = script.record_trace();
+        let until = SimTime::from_secs(4);
+        let fast = device
+            .run(&script, ReplayAgent::new(trace.clone()), &mut Probe::new(), until)
+            .expect("clean run");
+        let slow =
+            reference::run(&device, &script, ReplayAgent::new(trace), &mut Probe::new(), until)
+                .expect("clean run");
+        assert_eq!(fast.interactions, slow.interactions);
+        assert_eq!(fast.activity, slow.activity);
+
+        // When the spinner area changed: it appears, advances once per
+        // completed render pass (one spinner frame each), disappears.
+        let spinner_changes = |run: &RunArtifacts| -> Vec<SimTime> {
+            let rect = device.config().screen.spinner_rect;
+            let video = run.video.as_ref().expect("hdmi capture on");
+            video
+                .frames()
+                .windows(2)
+                .filter(|w| w[0].buf.crop(rect) != w[1].buf.crop(rect))
+                .map(|w| w[1].time)
+                .collect()
+        };
+        let changes = spinner_changes(&fast);
+        assert_eq!(changes, spinner_changes(&slow));
+        let passes = &changes[1..changes.len() - 1];
+        // Spawns sit on the boot-anchored 100 ms grid from 3.0 s to 3.8 s;
+        // 8 M cycles at 960 MHz finish in each spawn's ninth quantum.
+        let expected: Vec<SimTime> =
+            (30..=38).map(|tenth| SimTime::from_millis(tenth * 100 + 9)).collect();
+        assert_eq!(passes, expected.as_slice());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`task`] — phased compute work whose service time scales with DVFS;
 //! * [`script`] — the app-side half of a recorded workload;
 //! * [`dvfs`] — the governor interface and the fixed-frequency governor;
-//! * [`device`] — the 1 ms-quantum execution loop tying it all together;
+//! * [`device`] — the 1 ms-quantum execution loop tying it all together,
+//!   and its one-quantum-per-step [`reference`](mod@reference);
 //! * [`error`] — the typed failures a run can surface instead of panicking.
 //!
 //! # Examples
@@ -77,7 +78,7 @@ pub use cluster::{
     ClusterDevice, ClusterDeviceConfig, ClusterRunArtifacts, ClusterSpec, ClusterTopology,
     MigrationModel,
 };
-pub use device::{CaptureMode, Device, DeviceConfig, InteractionRecord, RunArtifacts};
+pub use device::{reference, CaptureMode, Device, DeviceConfig, InteractionRecord, RunArtifacts};
 pub use dvfs::{FixedGovernor, Governor, LoadSample};
 pub use error::DeviceError;
 pub use scene::{Element, Scene, SceneUpdate};

@@ -159,6 +159,12 @@ impl Task {
         self.remaining_in_phase + rest
     }
 
+    /// Cycles left until the current phase completes (zero once
+    /// finished).
+    pub fn remaining_in_phase(&self) -> u64 {
+        self.remaining_in_phase
+    }
+
     /// `true` once every phase has completed.
     pub fn is_finished(&self) -> bool {
         self.phase_idx >= self.spec.phases().len()

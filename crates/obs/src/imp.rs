@@ -185,10 +185,18 @@ impl Recorder {
     }
 
     /// Reports one worker's wall-clock busy/idle split (called once per
-    /// worker as it exits the work queue).
+    /// worker as it exits a work queue). A worker id that served several
+    /// pools keeps one row, summing their busy and idle times.
     pub fn worker_time(&self, worker: u32, busy_ns: u64, idle_ns: u64) {
         if let Some(inner) = &self.inner {
-            inner.workers.lock().expect("worker log poisoned").push((worker, busy_ns, idle_ns));
+            let mut workers = inner.workers.lock().expect("worker log poisoned");
+            match workers.iter_mut().find(|w| w.0 == worker) {
+                Some(row) => {
+                    row.1 += busy_ns;
+                    row.2 += idle_ns;
+                }
+                None => workers.push((worker, busy_ns, idle_ns)),
+            }
             self.observe(Hist::WorkerBusyMs, busy_ns / 1_000_000);
         }
     }
@@ -354,6 +362,15 @@ mod tests {
         rec.worker_time(0, 1_000, 2_000);
         let json = crate::binary_trace_to_chrome_json(&rec.binary_trace());
         assert_eq!(json, Some(rec.chrome_trace_json()));
+    }
+
+    #[test]
+    fn worker_time_folds_pools_into_one_row_per_worker() {
+        let rec = Recorder::enabled();
+        rec.worker_time(1, 10, 1);
+        rec.worker_time(2, 20, 2);
+        rec.worker_time(1, 30, 3);
+        assert_eq!(rec.snapshot().workers, [(1, 40, 4), (2, 20, 2)]);
     }
 
     #[test]
