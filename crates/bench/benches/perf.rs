@@ -1,5 +1,5 @@
-//! Speedup gates for the three optimised hot paths of the study pipeline,
-//! each timed in this process against the baseline it replaced:
+//! Speedup gates for the optimised hot paths of the study pipeline, each
+//! timed in this process against the baseline it replaced:
 //!
 //! 1. **kernel** — the chunked-u64 diff kernels against the per-pixel
 //!    scalar reference, on 1080p-class frames.
@@ -7,11 +7,17 @@
 //!    against the per-lag walker it replaced.
 //! 3. **device** — the device loop skipping steady-state quanta against
 //!    its one-quantum-per-step reference, on a paper dataset.
+//! 4. **sampling** — the oracle's plan sampled only where it steps
+//!    (`Governor::quiet_until`) against the same plan sampled every
+//!    period, on a paper dataset.
+//! 5. **workers** — a study on as many workers as the host has cores
+//!    against the serial sweep; skipped on a one-core host.
 //!
 //! Every figure is a ratio of two timings on the same host, so the gate
-//! holds on any machine: the bench panics if any optimised path is not
-//! faster than its baseline. End-to-end and per-layer performance is
-//! measured by `python3 benchmark/run.py`.
+//! holds on any machine: the bench panics if an optimised path is not
+//! faster than its baseline, or the parallel study not
+//! [`MIN_WORKER_SPEEDUP`] times faster than the serial one. End-to-end and
+//! per-layer performance is measured by `python3 benchmark/run.py`.
 //!
 //! Usage: `cargo bench -p interlag-bench --bench perf`.
 
@@ -20,12 +26,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use interlag_bench::banner;
+use interlag_core::experiment::{Lab, LabConfig};
 use interlag_core::matcher::{mark_up_with_policy, MatchPolicy, Matcher};
 use interlag_device::device::{Device, DeviceConfig, RunArtifacts};
+use interlag_device::dvfs::{Governor, LoadSample};
 use interlag_device::reference;
 use interlag_evdev::replay::ReplayAgent;
 use interlag_evdev::time::{SimDuration, SimTime};
-use interlag_governors::{Ondemand, OndemandTunables};
+use interlag_governors::{Ondemand, OndemandTunables, PlanGovernor};
+use interlag_power::opp::{Frequency, OppTable};
 use interlag_video::frame::FrameBuffer;
 use interlag_video::kernel;
 use interlag_video::mask::{Mask, MatchTolerance};
@@ -37,6 +46,14 @@ use interlag_workloads::datasets::Dataset;
 const SAMPLES: usize = 25;
 /// Timed device runs per loop: each is a ten-minute paper dataset.
 const DEVICE_SAMPLES: usize = 7;
+/// Timed studies per worker count: each is every configuration of a paper
+/// dataset, one repetition each.
+const STUDY_SAMPLES: usize = 5;
+/// The least speedup a study on every core must show over the serial
+/// sweep. Annotation and the oracle's construction run serially between
+/// the parallel stages, and a shared host lends its cores unevenly, so
+/// the gate asks for a tenth of a core's gain, not a linear speedup.
+const MIN_WORKER_SPEEDUP: f64 = 1.1;
 
 /// Median seconds per call over `samples` timed invocations (after one
 /// warm-up call).
@@ -206,6 +223,100 @@ fn device_section(samples: usize) -> DeviceNumbers {
     }
 }
 
+/// Hides a governor's quiet horizon, so the device samples it every
+/// period: the sampling the device did before `Governor::quiet_until`.
+struct Dense(PlanGovernor);
+
+impl Governor for Dense {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn init(&mut self, table: &OppTable) -> Frequency {
+        self.0.init(table)
+    }
+
+    fn sample_period(&self) -> SimDuration {
+        self.0.sample_period()
+    }
+
+    fn on_sample(&mut self, now: SimTime, load: LoadSample, table: &OppTable) -> Frequency {
+        self.0.on_sample(now, load, table)
+    }
+}
+
+struct SamplingNumbers {
+    steps: usize,
+    dense_ms: f64,
+    sparse_ms: f64,
+    speedup: f64,
+}
+
+/// The oracle's run of a study repetition — dataset 01's oracle plan with
+/// HDMI capture — sampled at the plan's steps and sampled every period.
+fn sampling_section(samples: usize) -> SamplingNumbers {
+    let w = Dataset::D01.build();
+    let lab = Lab::new(LabConfig { reps: 1, ..LabConfig::default() });
+    let plan = lab.study(&w).expect("study").oracle_detail.plan;
+    let trace = w.script.record_trace();
+    let device = Device::new(DeviceConfig::default());
+    let until = w.run_until();
+    let run = |dense: bool| -> RunArtifacts {
+        let mut plan = PlanGovernor::new("oracle", plan.clone());
+        let replayer = ReplayAgent::new(trace.clone());
+        if dense {
+            device.run(&w.script, replayer, &mut Dense(plan), until)
+        } else {
+            device.run(&w.script, replayer, &mut plan, until)
+        }
+        .expect("clean run")
+    };
+    let (sparse, dense) = (run(false), run(true));
+    assert_eq!(sparse.activity, dense.activity, "sparse sampling changed the activity trace");
+    assert_eq!(sparse.interactions, dense.interactions, "sparse sampling changed the interactions");
+
+    let dense_s = time_median(samples, || run(true));
+    let sparse_s = time_median(samples, || run(false));
+    SamplingNumbers {
+        steps: plan.steps().len(),
+        dense_ms: dense_s * 1e3,
+        sparse_ms: sparse_s * 1e3,
+        speedup: dense_s / sparse_s,
+    }
+}
+
+struct WorkerNumbers {
+    workers: usize,
+    serial_ms: f64,
+    parallel_ms: f64,
+    speedup: f64,
+}
+
+/// A one-repetition study of dataset 01 on one worker and on one worker
+/// per core; `None` on a one-core host, where there is nothing to gate.
+fn workers_section(samples: usize) -> Option<WorkerNumbers> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if workers < 2 {
+        return None;
+    }
+    let w = Dataset::D01.build();
+    let study = |workers: usize| {
+        let lab = Lab::new(LabConfig { reps: 1, workers, ..LabConfig::default() });
+        lab.study(&w).expect("study")
+    };
+    let (serial, parallel) = (study(1), study(workers));
+    assert_eq!(serial.oracle_detail, parallel.oracle_detail, "workers changed the oracle");
+
+    let serial_s = time_median(samples, || study(1));
+    let parallel_s = time_median(samples, || study(workers));
+    Some(WorkerNumbers {
+        workers,
+        serial_ms: serial_s * 1e3,
+        parallel_ms: parallel_s * 1e3,
+        speedup: serial_s / parallel_s,
+    })
+}
+
 fn main() {
     banner("PERF — optimised hot paths vs their baselines", "speedup = baseline / optimised");
 
@@ -233,7 +344,33 @@ fn main() {
         d.fixed_step_ms, d.skip_ms, d.speedup, d.sim_s
     );
 
+    let p = sampling_section(DEVICE_SAMPLES);
+    println!(
+        "sampling quiet horizons vs every period: every period {:.2} ms, quiet {:.2} ms, \
+         speedup {:.1}x (dataset 01 oracle, {} plan steps, HDMI)",
+        p.dense_ms, p.sparse_ms, p.speedup, p.steps
+    );
+
+    let workers = workers_section(STUDY_SAMPLES);
+    match &workers {
+        Some(s) => println!(
+            "workers  study on {} workers vs 1: serial {:.1} ms, parallel {:.1} ms, \
+             speedup {:.2}x (dataset 01, 1 rep, gate > {MIN_WORKER_SPEEDUP}x)",
+            s.workers, s.serial_ms, s.parallel_ms, s.speedup
+        ),
+        None => println!("workers  skipped: one core, nothing to parallelise"),
+    }
+
     assert!(k.speedup > 1.0, "kernel not faster than scalar reference: {:.3}x", k.speedup);
     assert!(m.speedup > 1.0, "batched markup not faster than per-lag walks: {:.3}x", m.speedup);
     assert!(d.speedup > 1.0, "skipping device loop not faster than fixed-step: {:.3}x", d.speedup);
+    assert!(p.speedup > 1.0, "quiet-horizon sampling not faster than dense: {:.3}x", p.speedup);
+    if let Some(s) = workers {
+        assert!(
+            s.speedup > MIN_WORKER_SPEEDUP,
+            "study on {} workers not {MIN_WORKER_SPEEDUP}x faster than serial: {:.3}x",
+            s.workers,
+            s.speedup
+        );
+    }
 }

@@ -24,6 +24,9 @@
 //! its *next event horizon* and runs every quantum up to it at once, with
 //! byte-identical results. [`reference`](mod@reference) runs the same
 //! loop one quantum per step, as the ground truth for that equivalence.
+//! Likewise a governor whose decision is a pure function of time is
+//! sampled only where a sample can change the frequency
+//! ([`Governor::quiet_until`]).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -468,7 +471,24 @@ impl Core {
     }
 }
 
-/// Samples, in cluster order, every governor whose period is due at
+/// When `g`, sampled at `at` (a quantum's end, or boot), samples next:
+/// `at + sample_period`, or, when its [`Governor::quiet_until`] horizon
+/// lies beyond that, the first multiple at or after the horizon of the
+/// period rounded up to whole quanta — an instant at which sampling every
+/// period from boot samples too.
+fn next_sample_at(g: &dyn Governor, at: SimTime, quantum: SimDuration) -> SimTime {
+    let period = g.sample_period();
+    let every = at.saturating_add(period);
+    let quiet = g.quiet_until(at);
+    if quiet <= every {
+        return every;
+    }
+    let q_us = quantum.as_micros();
+    let stride = period.as_micros().div_ceil(q_us).max(1) * q_us;
+    SimTime::from_micros(quiet.as_micros().div_ceil(stride).saturating_mul(stride))
+}
+
+/// Samples, in cluster order, every governor whose sample is due at
 /// `at`, a quantum's end, counting samples and frequency transitions;
 /// `true` if a frequency changed.
 fn sample_due(
@@ -476,6 +496,7 @@ fn sample_due(
     governors: &mut [&mut dyn Governor],
     clusters: &[ClusterSpec],
     at: SimTime,
+    quantum: SimDuration,
     samples: &mut u64,
     transitions: &mut u64,
 ) -> bool {
@@ -490,7 +511,7 @@ fn sample_due(
             changed |= core.freq != before;
             core.busy_acc = SimDuration::ZERO;
             core.last_sample_at = at;
-            core.next_sample_at = at + g.sample_period();
+            core.next_sample_at = next_sample_at(&**g, at, quantum);
         }
     }
     changed
@@ -555,7 +576,7 @@ pub(crate) fn run_quanta<R: Replayer>(
         .zip(governors.iter_mut())
         .map(|(spec, g)| Core {
             freq: spec.opps.quantize_up(g.init(&spec.opps)),
-            next_sample_at: SimTime::ZERO + g.sample_period(),
+            next_sample_at: next_sample_at(&**g, SimTime::ZERO, quantum),
             ..Core::default()
         })
         .collect();
@@ -810,7 +831,7 @@ pub(crate) fn run_quanta<R: Replayer>(
             done = upto;
             let at = now + quantum * done;
             let (samples, transitions) = (&mut obs_samples, &mut obs_transitions);
-            if sample_due(&mut cores, governors, clusters, at, samples, transitions) {
+            if sample_due(&mut cores, governors, clusters, at, quantum, samples, transitions) {
                 steps = steps.min(done.saturating_add(phase_quanta(&cores, quantum)));
             }
             watchdog.poll(at)?;
@@ -877,7 +898,8 @@ pub(crate) fn run_quanta<R: Replayer>(
         }
 
         // 6. Governor sampling, per cluster.
-        sample_due(&mut cores, governors, clusters, end, &mut obs_samples, &mut obs_transitions);
+        let (samples, transitions) = (&mut obs_samples, &mut obs_transitions);
+        sample_due(&mut cores, governors, clusters, end, quantum, samples, transitions);
 
         // 7. When recording video: capture the frames due before the last
         // quantum (the screen stood still), repaint if the scene changed

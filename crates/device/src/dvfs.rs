@@ -39,11 +39,13 @@ impl LoadSample {
 
 /// A frequency-selection policy.
 ///
-/// The device calls [`Governor::on_sample`] every
+/// The device calls [`Governor::on_sample`] at most every
 /// [`Governor::sample_period`] with the load since the previous call, and
 /// [`Governor::on_input`] whenever a user-input packet arrives (the hook
 /// the Interactive governor's input boost uses). Both return the frequency
-/// to run at next; the device quantises it onto the OPP table.
+/// to run at next; the device quantises it onto the OPP table. Samples
+/// that [`Governor::quiet_until`] declares unable to change the frequency
+/// are not taken.
 ///
 /// # The clamped load contract
 ///
@@ -68,6 +70,20 @@ pub trait Governor {
     /// Reacts to a user-input packet; `None` leaves the frequency alone.
     fn on_input(&mut self, _now: SimTime, _table: &OppTable) -> Option<Frequency> {
         None
+    }
+
+    /// The earliest instant after a sample at `at` at which a sample
+    /// could return a different frequency; the device skips the samples
+    /// before it. The default, `at`, asks for every sample.
+    ///
+    /// Override it only when [`Governor::on_sample`] is a pure function of
+    /// `now` (it ignores the load and has no side effects) and
+    /// [`Governor::on_input`] never changes the frequency: then skipped
+    /// samples would all have returned the frequency already in force.
+    /// Decorators whose `on_sample` has side effects — an RNG draw, heat
+    /// integration, a stall — must keep the default.
+    fn quiet_until(&self, at: SimTime) -> SimTime {
+        at
     }
 }
 
@@ -115,12 +131,16 @@ impl Governor for FixedGovernor {
     }
 
     fn sample_period(&self) -> SimDuration {
-        // Nothing to decide; sample rarely to keep the loop cheap.
+        // Nothing to decide: `quiet_until` skips every sample.
         SimDuration::from_millis(100)
     }
 
     fn on_sample(&mut self, _now: SimTime, _load: LoadSample, table: &OppTable) -> Frequency {
         table.quantize_up(self.freq)
+    }
+
+    fn quiet_until(&self, _at: SimTime) -> SimTime {
+        SimTime::MAX
     }
 }
 

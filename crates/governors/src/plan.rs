@@ -7,13 +7,16 @@
 //! through the standard governor interface so the oracle runs through
 //! exactly the same machinery as ondemand and friends.
 
-use serde::{Deserialize, Serialize};
-
 use interlag_device::dvfs::{Governor, LoadSample};
 use interlag_evdev::time::{SimDuration, SimTime};
 use interlag_power::opp::{Frequency, OppTable};
 
 /// A step function from time to frequency.
+///
+/// [`FrequencyPlan::new`] and [`FrequencyPlan::set_from`] are the only
+/// ways to build one, so its steps are always strictly increasing in
+/// time — [`FrequencyPlan::freq_at`] and [`PlanGovernor`]'s quiet horizon
+/// rely on that.
 ///
 /// # Examples
 ///
@@ -28,7 +31,7 @@ use interlag_power::opp::{Frequency, OppTable};
 /// assert_eq!(plan.freq_at(SimTime::from_millis(500)), Frequency::from_mhz(960));
 /// assert_eq!(plan.freq_at(SimTime::from_millis(1_500)), Frequency::from_mhz(2_150));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrequencyPlan {
     initial: Frequency,
     /// Change points, strictly increasing in time.
@@ -131,6 +134,13 @@ impl Governor for PlanGovernor {
 
     fn on_sample(&mut self, now: SimTime, _load: LoadSample, table: &OppTable) -> Frequency {
         table.quantize_up(self.plan.freq_at(now))
+    }
+
+    /// The plan's next step: it is the only instant a sample can change
+    /// the frequency.
+    fn quiet_until(&self, at: SimTime) -> SimTime {
+        let steps = &self.plan.steps;
+        steps.get(steps.partition_point(|(t, _)| *t <= at)).map_or(SimTime::MAX, |(t, _)| *t)
     }
 }
 

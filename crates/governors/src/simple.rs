@@ -28,6 +28,10 @@ impl Governor for Performance {
     fn on_sample(&mut self, _now: SimTime, _load: LoadSample, table: &OppTable) -> Frequency {
         table.max_freq()
     }
+
+    fn quiet_until(&self, _at: SimTime) -> SimTime {
+        SimTime::MAX
+    }
 }
 
 /// Pins the clock to the slowest operating point.
@@ -49,6 +53,10 @@ impl Governor for Powersave {
 
     fn on_sample(&mut self, _now: SimTime, _load: LoadSample, table: &OppTable) -> Frequency {
         table.min_freq()
+    }
+
+    fn quiet_until(&self, _at: SimTime) -> SimTime {
+        SimTime::MAX
     }
 }
 

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use interlag_device::dvfs::{FixedGovernor, Governor, LoadSample};
 use interlag_evdev::time::{SimDuration, SimTime};
 use interlag_governors::plan::{FrequencyPlan, PlanGovernor};
-use interlag_governors::{Conservative, Interactive, Ondemand, Schedutil};
-use interlag_power::opp::OppTable;
+use interlag_governors::{Conservative, Interactive, Ondemand, Performance, Powersave, Schedutil};
+use interlag_power::opp::{Frequency, OppTable};
 
 fn arb_loads() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..=100, 1..120)
@@ -173,7 +173,7 @@ proptest! {
         let table = OppTable::snapdragon_8074();
         let mut plan = FrequencyPlan::new(table.min_freq());
         for &(ms, khz) in &steps {
-            plan.set_from(SimTime::from_millis(ms), interlag_power::opp::Frequency::from_khz(khz));
+            plan.set_from(SimTime::from_millis(ms), Frequency::from_khz(khz));
         }
         let mut gov = PlanGovernor::new("test-plan", plan.clone());
         gov.init(&table);
@@ -182,6 +182,47 @@ proptest! {
             let t = SimTime::from_millis(ms);
             let got = gov.on_sample(t, idle, &table);
             prop_assert_eq!(got, table.quantize_up(plan.freq_at(t)));
+        }
+    }
+
+    /// A plan is quiet until its next step: the horizon lies strictly
+    /// after the sample, and the plan holds one frequency up to it.
+    #[test]
+    fn plan_is_constant_until_its_quiet_horizon(
+        steps in prop::collection::vec((0u64..60_000_000, 200_000u32..2_200_000), 0..20),
+        probes in prop::collection::vec(0u64..61_000_000, 1..40),
+    ) {
+        let table = OppTable::snapdragon_8074();
+        let mut plan = FrequencyPlan::new(table.min_freq());
+        for &(us, khz) in &steps {
+            plan.set_from(SimTime::from_micros(us), Frequency::from_khz(khz));
+        }
+        let gov = PlanGovernor::new("test-plan", plan.clone());
+        // Random instants, and every step's own instant.
+        let at_steps = plan.steps().iter().map(|&(t, _)| t);
+        for at in probes.iter().map(|&us| SimTime::from_micros(us)).chain(at_steps) {
+            let quiet = gov.quiet_until(at);
+            prop_assert!(quiet > at);
+            // The horizon is the next step, or never: no step lies inside
+            // the quiet stretch, so the frequency holds across it.
+            prop_assert!(quiet == SimTime::MAX || plan.steps().iter().any(|&(t, _)| t == quiet));
+            prop_assert!(plan.steps().iter().all(|&(t, _)| t <= at || t >= quiet));
+            prop_assert_eq!(plan.freq_at(quiet - SimDuration::from_micros(1)), plan.freq_at(at));
+        }
+    }
+
+    /// Pinned policies never need another sample.
+    #[test]
+    fn pinned_policies_are_quiet_forever(us in 0u64..u64::MAX) {
+        let table = OppTable::snapdragon_8074();
+        let at = SimTime::from_micros(us);
+        let pinned: [Box<dyn Governor>; 3] = [
+            Box::new(FixedGovernor::new(table.min_freq())),
+            Box::new(Performance),
+            Box::new(Powersave),
+        ];
+        for gov in &pinned {
+            prop_assert_eq!(gov.quiet_until(at), SimTime::MAX, "{}", gov.name());
         }
     }
 }

@@ -8,6 +8,11 @@
 //! produces: interactions, activity traces, replay statistics, every
 //! governor call with its arguments, and every captured frame's timestamp
 //! and pixels.
+//!
+//! Governors whose decision is a pure function of time (plans, pinned
+//! frequencies) are sampled only where [`Governor::quiet_until`] allows a
+//! change; against the same governor sampled every period they must
+//! produce the same run.
 
 use interlag::device::cluster::{ClusterDevice, ClusterDeviceConfig, ClusterTopology};
 use interlag::device::device::{CaptureMode, Device, DeviceConfig, RunArtifacts};
@@ -77,6 +82,36 @@ impl Governor for Logged<'_> {
         let f = self.inner.on_input(now, table);
         self.calls.push(Call::Input(now, f));
         f
+    }
+
+    fn quiet_until(&self, at: SimTime) -> SimTime {
+        self.inner.quiet_until(at)
+    }
+}
+
+/// Hides the wrapped governor's quiet horizon, so the device samples it
+/// every period.
+struct Dense<'a>(&'a mut dyn Governor);
+
+impl Governor for Dense<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn init(&mut self, table: &OppTable) -> Frequency {
+        self.0.init(table)
+    }
+
+    fn sample_period(&self) -> SimDuration {
+        self.0.sample_period()
+    }
+
+    fn on_sample(&mut self, now: SimTime, load: LoadSample, table: &OppTable) -> Frequency {
+        self.0.on_sample(now, load, table)
+    }
+
+    fn on_input(&mut self, now: SimTime, table: &OppTable) -> Option<Frequency> {
+        self.0.on_input(now, table)
     }
 }
 
@@ -334,4 +369,119 @@ proptest! {
         prop_assert_eq!(fast_little, slow_little);
         prop_assert_eq!(fast_big, slow_big);
     }
+
+    /// Plans with steps off the quantum grid, and pinned frequencies,
+    /// sampled only at their quiet horizons against the same governors
+    /// sampled every period: one cluster under each capture path, and two
+    /// clusters.
+    #[test]
+    fn quiet_horizon_runs_equal_dense_sampling(
+        seed in 0u64..1_000_000,
+        ops in prop::collection::vec(0u8..12, 1..5),
+        little_steps in plan_steps(),
+        big_steps in plan_steps(),
+        (little_kind, big_kind, capture, q, clusters) in (0u8..2, 0u8..2, 0u8..3, 0u8..4, 1u8..3),
+    ) {
+        let (script, until) = script(seed, &ops, 2);
+        let trace = script.record_trace();
+        let quantum = SimDuration::from_micros([700, 1_000, 1_300, 3_000][q as usize]);
+        let quiet = |kind: u8, steps: &[(u64, usize)], opps: &OppTable| -> Box<dyn Governor> {
+            if kind == 0 {
+                Box::new(PlanGovernor::new("plan", plan(steps, opps)))
+            } else {
+                let f = opps.frequencies().nth(steps.len() % opps.len()).unwrap();
+                Box::new(FixedGovernor::new(f))
+            }
+        };
+        if clusters == 1 {
+            let mode = match capture {
+                0 => CaptureMode::Hdmi,
+                1 => CaptureMode::Camera { seed },
+                _ => CaptureMode::None,
+            };
+            let config = DeviceConfig { capture: mode, quantum, ..DeviceConfig::default() };
+            let device = Device::new(config);
+            let opps = device.config().opps.clone();
+            let run = |dense: bool| {
+                let mut inner = quiet(little_kind, &little_steps, &opps);
+                let mut hidden = Dense(inner.as_mut());
+                let target: &mut dyn Governor = if dense { &mut hidden } else { hidden.0 };
+                let mut gov = Logged::new(target);
+                let run = device.run(&script, ReplayAgent::new(trace.clone()), &mut gov, until);
+                (run.expect("clean run"), gov.calls)
+            };
+            let (sparse, sparse_calls) = run(false);
+            let (dense, dense_calls) = run(true);
+            assert_same_run(&sparse, &dense)?;
+            assert_samples_agree(&sparse_calls, &dense_calls)?;
+        } else {
+            let mut config = ClusterDeviceConfig::new(ClusterTopology::big_little());
+            config.quantum = quantum;
+            let device = ClusterDevice::new(config);
+            let tables: Vec<OppTable> =
+                device.config().topology.clusters().iter().map(|c| c.opps.clone()).collect();
+            let run = |dense: bool| {
+                let mut little = quiet(little_kind, &little_steps, &tables[0]);
+                let mut big = quiet(big_kind, &big_steps, &tables[1]);
+                let (mut dl, mut db) = (Dense(little.as_mut()), Dense(big.as_mut()));
+                let (l, b): (&mut dyn Governor, &mut dyn Governor) =
+                    if dense { (&mut dl, &mut db) } else { (dl.0, db.0) };
+                let (mut l, mut b) = (Logged::new(l), Logged::new(b));
+                let run = {
+                    let govs: &mut [&mut dyn Governor] = &mut [&mut l, &mut b];
+                    device.run(&script, ReplayAgent::new(trace.clone()), govs, until)
+                };
+                (run.expect("clean run"), l.calls, b.calls)
+            };
+            let (sparse, sparse_little, sparse_big) = run(false);
+            let (dense, dense_little, dense_big) = run(true);
+            prop_assert_eq!(&sparse.interactions, &dense.interactions);
+            prop_assert_eq!(&sparse.activity, &dense.activity);
+            prop_assert_eq!(sparse.replay, dense.replay);
+            prop_assert_eq!(sparse.migrations, dense.migrations);
+            prop_assert_eq!(sparse.end_time, dense.end_time);
+            assert_samples_agree(&sparse_little, &dense_little)?;
+            assert_samples_agree(&sparse_big, &dense_big)?;
+        }
+    }
+}
+
+/// Up to 30 plan steps at arbitrary microseconds within the first 12 s,
+/// about the length of a `script` session: (time, OPP index).
+fn plan_steps() -> impl Strategy<Value = Vec<(u64, usize)>> {
+    prop::collection::vec((0u64..12_000_000, 0usize..64), 0..30)
+}
+
+fn plan(steps: &[(u64, usize)], opps: &OppTable) -> FrequencyPlan {
+    let freqs: Vec<Frequency> = opps.frequencies().collect();
+    let mut plan = FrequencyPlan::new(freqs[steps.len() % freqs.len()]);
+    for &(us, i) in steps {
+        plan.set_from(SimTime::from_micros(us), freqs[i % freqs.len()]);
+    }
+    plan
+}
+
+/// Every sample the sparse run took, the dense run took too, at the same
+/// instant and with the same frequency; the inputs match call for call.
+fn assert_samples_agree(sparse: &[Call], dense: &[Call]) -> Result<(), TestCaseError> {
+    let samples = |calls: &[Call]| -> Vec<(SimTime, Frequency)> {
+        calls
+            .iter()
+            .filter_map(|c| match c {
+                Call::Sample(at, _, f) => Some((*at, *f)),
+                _ => None,
+            })
+            .collect()
+    };
+    let inputs = |calls: &[Call]| -> Vec<Call> {
+        calls.iter().filter(|c| !matches!(c, Call::Sample(..))).cloned().collect()
+    };
+    prop_assert_eq!(inputs(sparse), inputs(dense));
+    let dense_samples = samples(dense);
+    for (at, f) in samples(sparse) {
+        let i = dense_samples.binary_search_by_key(&at, |&(t, _)| t);
+        prop_assert!(i.is_ok(), "sparse sample at {} missing from the dense run", at);
+        prop_assert_eq!(dense_samples[i.unwrap()].1, f, "frequency at {}", at);
+    }
+    Ok(())
 }
