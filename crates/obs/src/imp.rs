@@ -137,6 +137,12 @@ impl Recorder {
         }
     }
 
+    /// A counter's current value; `0` on a disabled recorder.
+    #[inline]
+    pub fn counter(&self, c: Counter) -> u64 {
+        self.inner.as_ref().map_or(0, |inner| inner.counters[c as usize].load(Ordering::Relaxed))
+    }
+
     /// Records one observation into a histogram.
     #[inline]
     pub fn observe(&self, h: Hist, value: u64) {
@@ -292,6 +298,7 @@ mod tests {
         rec.sim_span("replay", t, 0, 10);
         drop(rec.wall_span("annotate"));
         assert!(!rec.is_enabled());
+        assert_eq!(rec.counter(Counter::MatchLags), 0);
         let snap = rec.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.sim_spans.is_empty());
@@ -308,6 +315,8 @@ mod tests {
         rec.observe(Hist::EscalationDepth, 99); // overflow bucket
         let snap = rec.snapshot();
         assert_eq!(snap.counters[Counter::RetryAttempts as usize], 3);
+        assert_eq!(rec.counter(Counter::RetryAttempts), 3);
+        assert_eq!(rec.counter(Counter::MatchLags), 0);
         let (buckets, count, sum) = &snap.hists[Hist::EscalationDepth as usize];
         assert_eq!(*count, 3);
         assert_eq!(*sum, 102);

@@ -44,6 +44,12 @@ impl Recorder {
     #[inline]
     pub fn count(&self, _c: Counter, _n: u64) {}
 
+    /// Always `0`: nothing records in this build.
+    #[inline]
+    pub fn counter(&self, _c: Counter) -> u64 {
+        0
+    }
+
     /// No-op.
     #[inline]
     pub fn observe(&self, _h: Hist, _value: u64) {}

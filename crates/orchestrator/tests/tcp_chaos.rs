@@ -61,15 +61,6 @@ fn assert_studies_identical(a: &StudyResult, b: &StudyResult) {
     }
 }
 
-fn counter_value(report: &str, name: &str) -> u64 {
-    let needle = format!("| {name} | ");
-    report
-        .lines()
-        .find_map(|l| l.strip_prefix(&needle))
-        .and_then(|rest| rest.trim_end_matches(" |").trim().parse().ok())
-        .unwrap_or(0)
-}
-
 /// Runs one TCP sweep: thread-mode session clients dialling the
 /// supervisor through an optional chaos proxy. Returns the outcome with
 /// [`Counter::NetFaultsInjected`] fed from the proxy's own tally (the
@@ -125,7 +116,7 @@ fn tcp_sweep_lingering(
     let out = run_sweep(&small_workload(), lab.clone(), &mut t, &cfg).expect("sweep completes");
     if await_fence {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while counter_value(&lab.obs.text_report(), "fenced_epoch_records") == 0
+        while lab.obs.counter(Counter::FencedEpochRecords) == 0
             && std::time::Instant::now() < deadline
         {
             std::thread::sleep(Duration::from_millis(50));
@@ -167,7 +158,7 @@ fn clean_tcp_sweep_is_byte_identical_to_single_process() {
     }
     // A clean run admits nothing to fence: zero fenced-epoch records.
     let report = lab.obs.text_report();
-    assert_eq!(counter_value(&report, "fenced_epoch_records"), 0, "{report}");
+    assert_eq!(lab.obs.counter(Counter::FencedEpochRecords), 0, "{report}");
 }
 
 #[test]
@@ -196,9 +187,9 @@ fn partitions_resume_mid_shard_without_redispatch() {
         );
     }
     let report = lab.obs.text_report();
-    assert!(counter_value(&report, "agent_reconnects") >= 2, "{report}");
-    assert!(counter_value(&report, "net_faults_injected") >= 2, "{report}");
-    assert_eq!(counter_value(&report, "fenced_epoch_records"), 0, "{report}");
+    assert!(lab.obs.counter(Counter::AgentReconnects) >= 2, "{report}");
+    assert!(lab.obs.counter(Counter::NetFaultsInjected) >= 2, "{report}");
+    assert_eq!(lab.obs.counter(Counter::FencedEpochRecords), 0, "{report}");
 }
 
 #[test]
@@ -213,7 +204,7 @@ fn reorder_duplicate_and_delay_chaos_merge_byte_identically() {
         assert_studies_identical(&out.study, &baseline);
     }
     let report = lab.obs.text_report();
-    assert!(counter_value(&report, "net_faults_injected") > 0, "{report}");
+    assert!(lab.obs.counter(Counter::NetFaultsInjected) > 0, "{report}");
 }
 
 #[test]
@@ -254,7 +245,7 @@ fn zombie_agent_is_fenced_after_partition_and_redispatch() {
     assert!(!out.degraded, "{:?}", out.shards);
     assert_studies_identical(&out.study, &baseline);
     let report = lab.obs.text_report();
-    assert!(counter_value(&report, "lease_expiries") >= 1, "{report}");
-    assert!(counter_value(&report, "fenced_epoch_records") >= 1, "{report}");
-    assert!(counter_value(&report, "net_faults_injected") >= 1, "{report}");
+    assert!(lab.obs.counter(Counter::LeaseExpiries) >= 1, "{report}");
+    assert!(lab.obs.counter(Counter::FencedEpochRecords) >= 1, "{report}");
+    assert!(lab.obs.counter(Counter::NetFaultsInjected) >= 1, "{report}");
 }

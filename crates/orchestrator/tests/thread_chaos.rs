@@ -16,7 +16,7 @@ use interlag_core::experiment::{
 };
 use interlag_device::script::InteractionCategory;
 use interlag_faults::{AgentSabotage, SabotageKind, TransportFaults};
-use interlag_obs::Recorder;
+use interlag_obs::{Counter, Recorder};
 use interlag_orchestrator::{run_sweep, SweepConfig, SweepOutcome, ThreadTransport};
 use interlag_workloads::gen::{Workload, WorkloadBuilder, MCYCLES};
 
@@ -92,16 +92,6 @@ fn assert_studies_identical(a: &StudyResult, b: &StudyResult) {
     }
 }
 
-/// The value of one counter row in the Markdown observability report.
-fn counter_value(report: &str, name: &str) -> u64 {
-    let needle = format!("| {name} | ");
-    report
-        .lines()
-        .find_map(|l| l.strip_prefix(&needle))
-        .and_then(|rest| rest.trim_end_matches(" |").trim().parse().ok())
-        .unwrap_or_else(|| panic!("counter {name} not in report"))
-}
-
 fn sweep(
     lab: &LabConfig,
     shards: u32,
@@ -158,8 +148,8 @@ fn kill_schedules_within_budget_are_absorbed_byte_identically() {
     assert_studies_identical(&out.study, &baseline);
     assert!(out.torn >= 1, "the torn journal tail should be observed during salvage");
     let report = lab_obs.obs.text_report();
-    assert!(counter_value(&report, "shards_retried") >= 3, "{report}");
-    assert_eq!(counter_value(&report, "shards_abandoned"), 0, "{report}");
+    assert!(lab_obs.obs.counter(Counter::ShardsRetried) >= 3, "{report}");
+    assert_eq!(lab_obs.obs.counter(Counter::ShardsAbandoned), 0, "{report}");
     // Sabotaged shards each record at least one classified failure.
     let failed: Vec<_> = out
         .shards
@@ -255,6 +245,6 @@ fn budget_exhaustion_degrades_with_per_slot_causes() {
     }
     assert!(shard_causes > 0, "abandoned slots must carry shard causes");
     let report = lab.obs.text_report();
-    assert_eq!(counter_value(&report, "shards_abandoned"), 1, "{report}");
-    assert!(counter_value(&report, "shards_dispatched") >= 4, "{report}");
+    assert_eq!(lab.obs.counter(Counter::ShardsAbandoned), 1, "{report}");
+    assert!(lab.obs.counter(Counter::ShardsDispatched) >= 4, "{report}");
 }

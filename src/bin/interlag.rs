@@ -1,53 +1,13 @@
 //! `interlag` — command-line front end for the reproduction.
 //!
-//! ```text
-//! interlag datasets                          list the study's workloads
-//! interlag record <DS> [-o FILE]             write a dataset's getevent trace
-//! interlag classify <FILE>                   classify a getevent trace
-//! interlag replay <DS> -g <GOVERNOR>         one run: lags + energy
-//! interlag study <DS> [-r REPS] [--csv DIR] [--trace FILE]
-//!                    [--events FILE] [--strict]
-//!                    [--journal FILE] [--resume]  the full §III study
-//! interlag oracle <DS>                       the oracle's per-lag decisions
-//! interlag sweep <DS> [-r REPS] [--shards N] [--journal-dir DIR]
-//!                     [--retry-budget N] [--heartbeat-ms MS]
-//!                     [--watchdog-ms MS]       the study, sharded across
-//!                                              supervised agent processes
-//! interlag sweep <DS> --transport tcp [--listen ADDR] [--remote-agents]
-//!                     [--net-chaos PROFILE@SEED]  the same sweep over TCP
-//!                                              sessions with lease fencing
-//! interlag agent <DS> -r REPS --shard S --of N --stage STAGE
-//!                     --journal FILE           one shard (spawned by sweep)
-//! interlag agent <DS> --worker --connect ADDR [--scratch DIR]
-//!                                              a self-registering remote
-//!                                              worker for a TCP sweep
-//! interlag tune <DS> '<GROUP>' [--workers N] [--shards N]
-//!                    [--csv] [--out DIR]       score a governor-tunable grid
-//!                                              against the oracle; Pareto
-//!                                              frontier, byte-stable at any
-//!                                              worker/shard count
-//! interlag db ingest --db DIR <ARTIFACT>...    fold sealed submissions in
-//! interlag db query --db DIR '<GROUP>'         query the aggregates
-//! interlag db export --db DIR [--markdown]     render the whole database
-//! ```
-//!
-//! Datasets: `01 02 03 04 05 24hour mini`. Governors: `ondemand
-//! conservative interactive schedutil performance powersave` or a
-//! frequency like `0.96GHz`. Property groups (`sweep --matrix`, `db
-//! query`) use `key=val:key=val,val2` with `k-min/k-max/k-intvs`
-//! interval expansion.
-//!
-//! Exit codes: `0` success, `1` runtime failure, `2` usage error,
-//! `3` corrupt dataset, `4` study resumed but some repetitions remain
-//! timed out or abandoned, `5` sweep completed degraded (some shards
-//! were abandoned; their repetitions carry `Abandoned` causes), `6` db
-//! ingest rejected (quarantined or duplicate) submissions, `7` a TCP
-//! agent's lease epoch was fenced (a newer attempt superseded it), `8` a
-//! TCP agent exhausted its reconnect budget (link dead; the supervisor's
-//! local retry path takes over).
+//! `interlag help` prints every command, its flags, the dataset and
+//! governor names and the exit codes. That text, the parser and every
+//! usage error (exit 2) come from one flag table per command, [`VERBS`].
 
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use interlag::core::checkpoint::{study_fingerprint, StudyJournal};
@@ -89,83 +49,319 @@ const EXIT_SWEEP_DEGRADED: u8 = 5;
 /// (quarantined or duplicate); accepted artifacts were still folded.
 const EXIT_INGEST_REJECTED: u8 = 6;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: interlag <command> [args]\n\
-         \n\
-         commands:\n\
-         \x20 datasets                         list the study's workloads\n\
-         \x20 record <DS> [-o FILE]            write a dataset's getevent trace\n\
-         \x20 classify <FILE>                  classify a getevent trace\n\
-         \x20 replay <DS> -g <GOVERNOR>        one run: lag + energy summary\n\
-         \x20 study <DS> [-r REPS] [--csv DIR] [--trace FILE]\n\
-         \x20            [--events FILE] [--strict] [--journal FILE] [--resume]\n\
-         \x20                                  the full 18-configuration study;\n\
-         \x20                                  --trace writes a Chrome trace (.json:\n\
-         \x20                                  JSON text, else compact binary);\n\
-         \x20                                  --events replays an ingested getevent log\n\
-         \x20                                  (--strict fails fast on corrupt datasets,\n\
-         \x20                                  the default salvages what parses);\n\
-         \x20                                  --journal checkpoints each repetition\n\
-         \x20                                  (.json/.jsonl: JSON lines, else binary),\n\
-         \x20                                  --resume replays a prior journal\n\
-         \x20 oracle <DS>                      the oracle's per-lag decisions\n\
-         \x20 sweep <DS> [-r REPS] [--shards N] [--journal-dir DIR]\n\
-         \x20            [--retry-budget N] [--heartbeat-ms MS] [--watchdog-ms MS]\n\
-         \x20            [--markdown] [--sabotage KIND@CKPT:SHARD:ATTEMPT]\n\
-         \x20            [--jitter-us US] [--matrix GROUP] [--db DIR]\n\
-         \x20            [--transport process|tcp] [--listen ADDR]\n\
-         \x20            [--remote-agents] [--net-chaos PROFILE@SEED]\n\
-         \x20                                  the study, sharded across supervised\n\
-         \x20                                  agent processes; exits 5 if any shard\n\
-         \x20                                  was abandoned (degraded report);\n\
-         \x20                                  --matrix expands a property group\n\
-         \x20                                  (keys reps, jitter-us, shards) into one\n\
-         \x20                                  sweep per point; --db ingests each\n\
-         \x20                                  sweep's sealed submission artifact;\n\
-         \x20                                  --transport tcp runs agents as epoch-\n\
-         \x20                                  fenced TCP sessions (--listen, default\n\
-         \x20                                  127.0.0.1:0; --remote-agents waits for\n\
-         \x20                                  self-registering workers instead of\n\
-         \x20                                  spawning local ones; --net-chaos fronts\n\
-         \x20                                  the listener with a seeded fault proxy:\n\
-         \x20                                  partition rst reorder duplicate delay storm)\n\
-         \x20 agent <DS> -r REPS --shard S --of N --stage stage1|oracle\n\
-         \x20            --journal FILE [--heartbeat-ms MS] [--sabotage KIND@CKPT]\n\
-         \x20            [--jitter-us US] [--connect ADDR --epoch N --attempt N]\n\
-         \x20                                  one shard of a sweep (spawned by sweep;\n\
-         \x20                                  speaks framed messages on stdout, or as\n\
-         \x20                                  a resumable TCP session with --connect)\n\
-         \x20 agent <DS> --worker --connect ADDR [--scratch DIR] [--jitter-us US]\n\
-         \x20                                  loop as a remote worker: register with a\n\
-         \x20                                  --remote-agents sweep supervisor, run\n\
-         \x20                                  assigned shards until drained\n\
-         \x20 tune <DS> GROUP [--workers N] [--shards N] [--csv] [--out DIR]\n\
-         \x20                                  score a governor-tunable grid against\n\
-         \x20                                  the per-workload oracle, e.g.\n\
-         \x20                                  governor=interactive:go-hispeed-load-min=60:\n\
-         \x20                                  go-hispeed-load-max=95:go-hispeed-load-intvs=8\n\
-         \x20                                  (fleet keys reps, jitter-us); prints the\n\
-         \x20                                  Pareto frontier as Markdown (--csv for CSV),\n\
-         \x20                                  --out writes both frontier.md and frontier.csv\n\
-         \x20 db ingest --db DIR <ARTIFACT>... fold sealed submissions into the\n\
-         \x20                                  results database (exit 6 if any were\n\
-         \x20                                  quarantined or duplicates)\n\
-         \x20 db query --db DIR GROUP          query aggregates, e.g.\n\
-         \x20                                  governor=ondemand:device=sim14:stat=p95-lag\n\
-         \x20 db export --db DIR [--markdown]  render the whole database (CSV default)\n\
-         \n\
+/// How a flag takes its value. The string names the value in the usage
+/// text.
+#[derive(Clone, Copy)]
+enum Arity {
+    Switch,
+    Value(&'static str),
+    /// A value the command cannot run without.
+    Required(&'static str),
+    /// A value that may be given more than once.
+    Repeated(&'static str),
+}
+use Arity::{Repeated, Required, Switch, Value};
+
+impl Arity {
+    fn value_name(self) -> &'static str {
+        match self {
+            Switch => "",
+            Value(v) | Required(v) | Repeated(v) => v,
+        }
+    }
+}
+
+/// One row of a command's flag table.
+struct Flag {
+    /// Every spelling. The last one names the flag in lookups and errors.
+    names: &'static [&'static str],
+    arity: Arity,
+    help: &'static str,
+}
+
+const fn flag(names: &'static [&'static str], arity: Arity, help: &'static str) -> Flag {
+    Flag { names, arity, help }
+}
+
+/// A command's exit code, or why it stopped early.
+type Outcome = Result<ExitCode, Stop>;
+
+/// One command: its operands, its flag table and what runs it.
+struct Verb {
+    /// `study`, or `db ingest` for the database sub-commands.
+    name: &'static str,
+    /// Positional operands in order. A trailing `...` takes one or more.
+    operands: &'static [&'static str],
+    flags: &'static [Flag],
+    run: fn(&Args) -> Outcome,
+    about: &'static str,
+}
+
+const fn verb(
+    name: &'static str,
+    operands: &'static [&'static str],
+    flags: &'static [Flag],
+    run: fn(&Args) -> Outcome,
+    about: &'static str,
+) -> Verb {
+    Verb { name, operands, flags, run, about }
+}
+
+const REPS: Flag = flag(&["-r", "--reps"], Value("N"), "repetitions per configuration (default 1)");
+const JITTER: Flag = flag(&["--jitter-us"], Value("US"), "input jitter (default 1500)");
+const DB: Flag = flag(&["--db"], Required("DIR"), "the results database");
+const MARKDOWN: Flag = flag(&["--markdown"], Switch, "print Markdown instead of CSV");
+
+const RECORD: &[Flag] = &[flag(&["-o", "--out"], Value("FILE"), "write to FILE, not stdout")];
+const REPLAY: &[Flag] = &[flag(&["-g", "--governor"], Required("GOVERNOR"), "the governor")];
+const STUDY: &[Flag] = &[
+    REPS,
+    flag(&["--csv"], Value("DIR"), "also write study, oracle and profile CSVs to DIR"),
+    MARKDOWN,
+    flag(&["-t", "--trace"], Value("FILE"), "write a Chrome trace (.json: JSON, else binary)"),
+    flag(&["--events"], Value("FILE"), "replay an ingested getevent log"),
+    flag(&["--strict"], Switch, "fail on a corrupt --events log (default: salvage)"),
+    flag(&["--journal"], Value("FILE"), "checkpoint each rep (.json/.jsonl: JSON, else binary)"),
+    flag(&["--resume"], Switch, "replay the reps already in --journal"),
+];
+const SWEEP: &[Flag] = &[
+    REPS,
+    flag(&["--shards"], Value("N"), "agents to partition the study across (default 4)"),
+    flag(&["--journal-dir"], Value("DIR"), "shard and merged journals (default: temp dir)"),
+    flag(&["--retry-budget"], Value("N"), "re-dispatches per failed shard (default 2)"),
+    flag(&["--heartbeat-ms"], Value("MS"), "agent heartbeat period (default 250)"),
+    flag(&["--watchdog-ms"], Value("MS"), "silence that kills an agent (default 5000)"),
+    MARKDOWN,
+    flag(&["--sabotage"], Repeated("KIND@CKPT:SHARD:ATTEMPT"), "crash|wedge|tear|kill, ATTEMPT *"),
+    JITTER,
+    flag(&["--matrix"], Value("GROUP"), "one sweep per point over reps, jitter-us, shards"),
+    flag(&["--db"], Value("DIR"), "fold each sweep's sealed submission into DIR"),
+    flag(&["--transport"], Value("process|tcp"), "how agents reach the supervisor"),
+    flag(&["--listen"], Value("ADDR"), "tcp: supervisor address (default 127.0.0.1:0)"),
+    flag(&["--remote-agents"], Switch, "tcp: wait for `agent --worker` processes"),
+    flag(&["--net-chaos"], Value("PROFILE@SEED"), "tcp: a seeded chaos proxy, e.g. storm@7"),
+];
+const AGENT: &[Flag] = &[
+    REPS,
+    flag(&["--shard"], Value("S"), "the shard to run (required without --worker)"),
+    flag(&["--of"], Value("N"), "the sweep's shard count (required without --worker)"),
+    flag(&["--stage"], Value("stage1|oracle"), "the sweep stage (required without --worker)"),
+    flag(&["--journal"], Value("FILE"), "the shard journal (required without --worker)"),
+    flag(&["--heartbeat-ms"], Value("MS"), "heartbeat period (default 1000)"),
+    flag(&["--sabotage"], Value("KIND@CKPT"), "fail on purpose: crash wedge tear"),
+    JITTER,
+    flag(&["--connect"], Value("ADDR"), "speak a TCP session to ADDR instead of stdout"),
+    flag(&["--epoch"], Value("N"), "the attempt's lease epoch (default 1)"),
+    flag(&["--attempt"], Value("N"), "the dispatch attempt (default 0)"),
+    flag(&["--retry-budget"], Value("N"), "tcp reconnects before giving up (default 8)"),
+    flag(&["--backoff-seed"], Value("N"), "seed of the reconnect backoff (default 0)"),
+    flag(&["--worker"], Switch, "register with a --remote-agents sweep at --connect"),
+    flag(&["--scratch"], Value("DIR"), "worker journals (default: temp dir)"),
+];
+const TUNE: &[Flag] = &[
+    flag(&["--workers"], Value("N"), "worker threads (default 1)"),
+    flag(&["--shards"], Value("N"), "shards of the grid (default 1)"),
+    flag(&["--csv"], Switch, "print CSV instead of Markdown"),
+    flag(&["--out"], Value("DIR"), "also write frontier.md and frontier.csv to DIR"),
+];
+
+/// Every command, in the order `interlag help` lists them.
+static VERBS: &[Verb] = &[
+    verb("datasets", &[], &[], cmd_datasets, "list the study's workloads"),
+    verb("record", &["DS"], RECORD, cmd_record, "write a dataset's getevent trace"),
+    verb("classify", &["FILE"], &[], cmd_classify, "classify a getevent trace"),
+    verb("replay", &["DS"], REPLAY, cmd_replay, "one run: lag + energy summary"),
+    verb("study", &["DS"], STUDY, cmd_study, "the full 18-configuration study"),
+    verb("oracle", &["DS"], &[], cmd_oracle, "the oracle's per-lag decisions"),
+    verb("sweep", &["DS"], SWEEP, cmd_sweep, "the study, sharded across supervised agents"),
+    verb("agent", &["DS"], AGENT, cmd_agent, "one shard of a sweep, or a --worker"),
+    verb("tune", &["DS", "GROUP"], TUNE, cmd_tune, "score a tunable grid against the oracle"),
+    verb("db ingest", &["ARTIFACT..."], &[DB], cmd_db, "fold sealed submissions into the db"),
+    verb("db query", &["GROUP"], &[DB], cmd_db, "query the aggregates a group selects"),
+    verb("db export", &[], &[DB, MARKDOWN], cmd_db, "render the whole database"),
+];
+
+/// Why a command stopped early. Both print `interlag: {msg}`.
+enum Stop {
+    /// A rejected command line: exit 2, followed by the usage of `verb`,
+    /// or of every command when `verb` is `None`.
+    Usage { verb: Option<&'static Verb>, msg: String },
+    /// A runtime failure: exit 1.
+    Failed(String),
+}
+
+impl Verb {
+    fn row(&self, arg: &str) -> Option<usize> {
+        self.flags.iter().position(|f| f.names.contains(&arg))
+    }
+
+    fn reject(&'static self, msg: impl Into<String>) -> Stop {
+        Stop::Usage { verb: Some(self), msg: msg.into() }
+    }
+
+    /// The "requires" error for the flag in `row`.
+    fn missing(&'static self, row: usize) -> Stop {
+        let flag = &self.flags[row];
+        let name = flag.names.last().expect("a flag has a name");
+        self.reject(format!("{} requires {name} {}", self.name, flag.arity.value_name()))
+    }
+}
+
+/// A command line parsed against one verb's table.
+struct Args {
+    verb: &'static Verb,
+    operands: Vec<String>,
+    /// Per table row, every value given; a switch records an empty one.
+    given: Vec<Vec<String>>,
+}
+
+/// Parses `argv`, everything after the command's name, against `verb`'s
+/// table. Unknown flags, missing values, repeats of a single-valued flag,
+/// missing required flags and a wrong operand count are usage errors. A
+/// value that is itself one of the verb's flags counts as missing.
+fn parse(verb: &'static Verb, argv: &[String]) -> Result<Args, Stop> {
+    let mut given = vec![Vec::new(); verb.flags.len()];
+    let mut operands = Vec::new();
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with('-') || arg == "-" {
+            operands.push(arg.clone());
+            continue;
+        }
+        let Some(row) = verb.row(arg) else {
+            return Err(verb.reject(format!("{} has no flag {arg}", verb.name)));
+        };
+        let arity = verb.flags[row].arity;
+        if !given[row].is_empty() && !matches!(arity, Repeated(_)) {
+            return Err(verb.reject(format!("{arg} given more than once")));
+        }
+        let value = match arity {
+            Switch => String::new(),
+            _ => match rest.next() {
+                Some(v) if verb.row(v).is_none() => v.clone(),
+                _ => {
+                    return Err(verb.reject(format!("{arg} wants a value ({})", arity.value_name())))
+                }
+            },
+        };
+        given[row].push(value);
+    }
+    if let Some(operand) = verb.operands.get(operands.len()) {
+        return Err(verb.reject(format!("{} requires <{operand}>", verb.name)));
+    }
+    let variadic = verb.operands.last().is_some_and(|o| o.ends_with("..."));
+    if let Some(extra) = operands.get(verb.operands.len()).filter(|_| !variadic) {
+        return Err(verb.reject(format!("unexpected operand {extra:?}")));
+    }
+    let required = |(f, g): (&Flag, &Vec<String>)| matches!(f.arity, Required(_)) && g.is_empty();
+    if let Some(row) = verb.flags.iter().zip(&given).position(required) {
+        return Err(verb.missing(row));
+    }
+    Ok(Args { verb, operands, given })
+}
+
+impl Args {
+    /// Every value given for the flag spelled `name`.
+    fn values(&self, name: &str) -> &[String] {
+        let row = self.verb.row(name);
+        &self.given[row.unwrap_or_else(|| panic!("{name} is not in the {} table", self.verb.name))]
+    }
+
+    /// `true` if the switch `name` was given.
+    fn flag(&self, name: &str) -> bool {
+        !self.values(name).is_empty()
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.values(name).first().map(String::as_str)
+    }
+
+    /// A flag's value parsed as a number; a malformed one is a usage error.
+    fn number<T: FromStr>(&self, name: &str) -> Result<Option<T>, Stop> {
+        let Some(v) = self.value(name) else { return Ok(None) };
+        v.parse().map(Some).map_err(|_| self.reject(format!("{name} wants a number, got {v:?}")))
+    }
+
+    /// A flag's value, or the "requires" error.
+    fn require(&self, name: &str) -> Result<&str, Stop> {
+        self.value(name).ok_or_else(|| self.missing(name))
+    }
+
+    fn require_number<T: FromStr>(&self, name: &str) -> Result<T, Stop> {
+        self.number(name)?.ok_or_else(|| self.missing(name))
+    }
+
+    fn missing(&self, name: &str) -> Stop {
+        self.verb.missing(self.verb.row(name).expect("flag in table"))
+    }
+
+    fn reject(&self, msg: impl Into<String>) -> Stop {
+        self.verb.reject(msg)
+    }
+
+    /// The workload named by the `DS` operand.
+    fn workload(&self) -> Result<Workload, Stop> {
+        let name = &self.operands[0];
+        let ds = dataset(name).ok_or_else(|| self.reject(format!("unknown dataset {name:?}")))?;
+        Ok(ds.build())
+    }
+}
+
+/// The usage of one verb, or of every verb plus the name lists and exit
+/// codes when `only` is `None`.
+fn usage(only: Option<&Verb>) -> String {
+    let mut out = String::from(match only {
+        Some(_) => "usage:\n",
+        None => "usage: interlag <command> [args]   (`interlag help`, -h, --help: this text)\n",
+    });
+    for v in VERBS.iter().filter(|v| only.is_none_or(|only| std::ptr::eq(*v, only))) {
+        let operands: String = v.operands.iter().map(|o| format!(" <{o}>")).collect();
+        let _ = writeln!(out, "{:33} {}", format!("  {}{operands}", v.name), v.about);
+        for f in v.flags {
+            let left = format!("      {} {}", f.names.join(", "), f.arity.value_name());
+            let note = match f.arity {
+                Required(_) => " (required)",
+                Repeated(_) => " (repeatable)",
+                _ => "",
+            };
+            let _ = writeln!(out, "{:33} {}{note}", left.trim_end(), f.help);
+        }
+    }
+    if only.is_some() {
+        out.push_str("`interlag help` lists every command and the exit codes\n");
+        return out;
+    }
+    let _ = write!(
+        out,
+        "\n\
          datasets: 01 02 03 04 05 24hour mini\n\
          governors: ondemand conservative interactive schedutil performance powersave <freq>GHz\n\
-         property groups: key=val:key=val,val2  (k-min=A:k-max=B:k-intvs=N expands)\n\
-         exit codes: 0 ok, 1 failure, 2 usage, 3 corrupt dataset,\n\
-         \x20           4 resumed study still has timed-out/abandoned reps,\n\
-         \x20           5 sweep completed degraded (abandoned shards),\n\
-         \x20           6 db ingest rejected submissions,\n\
+         property groups: key=val:key=val,val2  (k-min=A:k-max=B:k-intvs=N expands), e.g.\n\
+         \x20 governor=ondemand:up-threshold-min=70:up-threshold-max=90:up-threshold-intvs=3\n\
+         \x20 (tune also takes the fleet keys reps and jitter-us)\n\
+         exit codes: 0 ok, 1 failure, {EXIT_USAGE} usage, {EXIT_CORRUPT_DATASET} corrupt dataset,\n\
+         \x20           {EXIT_RESUMED_DEGRADED} resumed study still has timed-out/abandoned reps,\n\
+         \x20           {EXIT_SWEEP_DEGRADED} sweep completed degraded (abandoned shards),\n\
+         \x20           {EXIT_INGEST_REJECTED} db ingest rejected submissions,\n\
          \x20           {EXIT_FENCED} tcp agent fenced (lease superseded by a newer attempt),\n\
-         \x20           {EXIT_LINK_DEAD} tcp agent link dead (reconnect budget exhausted)"
+         \x20           {EXIT_LINK_DEAD} tcp agent link dead (reconnect budget exhausted)\n"
     );
-    ExitCode::from(EXIT_USAGE)
+    out
+}
+
+/// The verb `argv` names and the arguments after its name.
+fn find_verb(argv: &[String]) -> Result<(&'static Verb, &[String]), Stop> {
+    let general = |msg: String| Stop::Usage { verb: None, msg };
+    let (name, rest) = match argv {
+        [] => return Err(general("missing command".into())),
+        [db, sub, rest @ ..] if db == "db" => (format!("db {sub}"), rest),
+        [db] if db == "db" => {
+            return Err(general("db requires a verb: ingest, query or export".into()))
+        }
+        [name, rest @ ..] => (name.clone(), rest),
+    };
+    let verb = VERBS.iter().find(|v| v.name == name);
+    verb.map(|v| (v, rest)).ok_or_else(|| general(format!("unknown command {name:?}")))
 }
 
 fn dataset(name: &str) -> Option<Dataset> {
@@ -179,53 +375,6 @@ fn dataset(name: &str) -> Option<Dataset> {
         "mini" => Some(Dataset::Mini),
         _ => None,
     }
-}
-
-fn flag_value(args: &[String], names: &[&str]) -> Option<String> {
-    args.iter().position(|a| names.contains(&a.as_str())).and_then(|i| args.get(i + 1)).cloned()
-}
-
-/// A numeric flag: absent is `Ok(None)`; present but malformed is a
-/// usage rejection naming the flag and the offending text. This replaces
-/// the old `parse().ok().unwrap_or(default)` idiom, which turned a typo
-/// like `--reps abc` into a silent run with 1 repetition.
-fn numeric_flag<T: std::str::FromStr>(
-    args: &[String],
-    names: &[&str],
-) -> Result<Option<T>, ExitCode> {
-    match flag_value(args, names) {
-        None => Ok(None),
-        Some(v) => match v.parse() {
-            Ok(n) => Ok(Some(n)),
-            Err(_) => {
-                let flag = names.last().copied().unwrap_or("flag");
-                eprintln!("interlag: {flag} wants a number, got {v:?}");
-                Err(usage())
-            }
-        },
-    }
-}
-
-/// `numeric_flag` with a default, early-returning the usage exit code on
-/// a malformed value.
-macro_rules! flag_or {
-    ($args:expr, $names:expr, $default:expr) => {
-        match numeric_flag($args, $names) {
-            Ok(v) => v.unwrap_or($default),
-            Err(code) => return code,
-        }
-    };
-}
-
-/// Optional `numeric_flag`, early-returning the usage exit code on a
-/// malformed value.
-macro_rules! flag_opt {
-    ($args:expr, $names:expr) => {
-        match numeric_flag($args, $names) {
-            Ok(v) => v,
-            Err(code) => return code,
-        }
-    };
 }
 
 fn governor_by_name(name: &str, lab: &Lab) -> Option<Box<dyn Governor>> {
@@ -244,7 +393,7 @@ fn governor_by_name(name: &str, lab: &Lab) -> Option<Box<dyn Governor>> {
     })
 }
 
-fn cmd_datasets() -> ExitCode {
+fn cmd_datasets(_: &Args) -> Outcome {
     println!("{:<8} {:<52} {:>7} {:>8}", "dataset", "description", "inputs", "length");
     for ds in Dataset::TEN_MINUTE.iter().copied().chain([Dataset::Day24h, Dataset::Mini]) {
         let w = ds.build();
@@ -256,18 +405,16 @@ fn cmd_datasets() -> ExitCode {
             w.duration.as_secs_f64()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_record(w: &Workload, out: Option<String>) -> ExitCode {
-    let trace = w.script.record_trace();
+fn cmd_record(args: &Args) -> Outcome {
+    let trace = args.workload()?.script.record_trace();
     let text = trace.to_getevent_text();
-    match out {
+    match args.value("--out") {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, &text) {
-                eprintln!("interlag: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(path, &text)
+                .map_err(|e| Stop::Failed(format!("cannot write {path}: {e}")))?;
             eprintln!("wrote {} events ({} bytes) to {path}", trace.len(), text.len());
         }
         None => {
@@ -275,24 +422,14 @@ fn cmd_record(w: &Workload, out: Option<String>) -> ExitCode {
             let _ = stdout.write_all(text.as_bytes());
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_classify(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("interlag: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let trace: EventTrace = match text.parse() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("interlag: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_classify(args: &Args) -> Outcome {
+    let path = &args.operands[0];
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| Stop::Failed(format!("cannot read {path}: {e}")))?;
+    let trace: EventTrace = text.parse().map_err(|e| Stop::Failed(format!("{path}: {e}")))?;
     let inputs = classify_trace(&trace, &ClassifierConfig::default());
     let counts = count_inputs(&inputs);
     println!(
@@ -315,22 +452,19 @@ fn cmd_classify(path: &str) -> ExitCode {
             i.duration
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_replay(w: &Workload, gov_name: &str) -> ExitCode {
+fn cmd_replay(args: &Args) -> Outcome {
+    let w = args.workload()?;
+    let gov_name = args.require("--governor")?;
     let lab = Lab::new(LabConfig::default());
     let Some(mut gov) = governor_by_name(gov_name, &lab) else {
-        eprintln!("interlag: unknown governor {gov_name:?}");
-        return ExitCode::from(2);
+        return Err(args.reject(format!("unknown governor {gov_name:?}")));
     };
-    let run = match lab.run(w, w.script.record_trace(), gov.as_mut()) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("interlag: replay failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let run = lab
+        .run(&w, w.script.record_trace(), gov.as_mut())
+        .map_err(|e| Stop::Failed(format!("replay failed: {e}")))?;
     let energy = lab.meter().measure(&run.activity);
     let lags: Vec<f64> =
         run.interactions.iter().filter_map(|r| r.true_lag()).map(|l| l.as_millis_f64()).collect();
@@ -349,40 +483,28 @@ fn cmd_replay(w: &Workload, gov_name: &str) -> ExitCode {
         run.activity.busy_time().as_secs_f64(),
         run.activity.total_duration().as_secs_f64()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Everything `interlag study` takes from the command line.
-struct StudyArgs {
-    reps: u32,
-    csv_dir: Option<String>,
-    markdown: bool,
-    trace_out: Option<String>,
-    /// Replay an externally recorded getevent log through the hardened
-    /// loader instead of recording the trace from the script.
-    events: Option<String>,
-    /// Fail fast on the first dataset defect instead of salvaging.
-    strict: bool,
-    journal: Option<String>,
-    resume: bool,
-}
-
-fn cmd_study(w: &Workload, args: StudyArgs) -> ExitCode {
-    let mode = if args.strict { IngestMode::Strict } else { IngestMode::Salvage };
+fn cmd_study(args: &Args) -> Outcome {
+    let w = args.workload()?;
+    let reps = args.number("--reps")?.unwrap_or(1);
+    let resume = args.flag("--resume");
+    let journal_path = args.value("--journal");
+    if resume && journal_path.is_none() {
+        return Err(args.reject("--resume requires --journal FILE"));
+    }
+    let trace_out = args.value("--trace");
+    let mode = if args.flag("--strict") { IngestMode::Strict } else { IngestMode::Salvage };
     let mut ingest = IngestReport::default();
 
     // The trace the study will replay: recorded from the script, or
     // loaded from disk through the hardened loader.
-    let events_trace = match &args.events {
+    let events_trace = match args.value("--events") {
         None => None,
         Some(path) => {
-            let bytes = match std::fs::read(path) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("interlag: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let bytes = std::fs::read(path)
+                .map_err(|e| Stop::Failed(format!("cannot read {path}: {e}")))?;
             match load_trace_bytes(&bytes, mode) {
                 Ok((trace, report)) => {
                     ingest.merge(report);
@@ -390,7 +512,7 @@ fn cmd_study(w: &Workload, args: StudyArgs) -> ExitCode {
                 }
                 Err(e) => {
                     eprintln!("interlag: {path}: corrupt dataset: {e}");
-                    return ExitCode::from(EXIT_CORRUPT_DATASET);
+                    return Ok(ExitCode::from(EXIT_CORRUPT_DATASET));
                 }
             }
         }
@@ -403,56 +525,40 @@ fn cmd_study(w: &Workload, args: StudyArgs) -> ExitCode {
         );
     }
 
-    let obs = if args.trace_out.is_some() {
-        interlag::obs::Recorder::enabled()
-    } else {
-        Default::default()
-    };
-    let lab_config = LabConfig { reps: args.reps, obs: obs.clone(), ..Default::default() };
+    let obs = if trace_out.is_some() { Recorder::enabled() } else { Default::default() };
+    let lab_config = LabConfig { reps, obs: obs.clone(), ..Default::default() };
 
     // The journal fingerprints the exact trace bytes the study replays
     // plus the result-affecting lab settings, so resuming against a
     // different dataset or configuration re-runs instead of splicing.
     let trace = events_trace.unwrap_or_else(|| w.script.record_trace());
-    let journal = match &args.journal {
+    let journal = match journal_path {
         None => None,
         Some(path) => {
             let fp = study_fingerprint(&trace.to_getevent_text(), &lab_config);
-            let opened = if args.resume {
+            let opened = if resume {
                 StudyJournal::resume(path, fp)
             } else {
                 StudyJournal::create(path, fp)
             };
-            match opened {
-                Ok(j) => {
-                    if args.resume {
-                        eprintln!(
-                            "interlag: resuming from {path}: {} repetition(s) journalled, \
-                             {} torn record(s) dropped, {} foreign record(s) ignored",
-                            j.replayable(),
-                            j.torn(),
-                            j.foreign(),
-                        );
-                    }
-                    Some(j)
-                }
-                Err(e) => {
-                    eprintln!("interlag: cannot open journal {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+            let j = opened.map_err(|e| Stop::Failed(format!("cannot open journal {path}: {e}")))?;
+            if resume {
+                eprintln!(
+                    "interlag: resuming from {path}: {} repetition(s) journalled, \
+                     {} torn record(s) dropped, {} foreign record(s) ignored",
+                    j.replayable(),
+                    j.torn(),
+                    j.foreign(),
+                );
             }
+            Some(j)
         }
     };
 
     let lab = Lab::new(lab_config);
     let options = StudyOptions { journal: journal.as_ref(), trace: Some(trace), scope: None };
-    let study = match lab.study_with(w, options) {
-        Ok(study) => study,
-        Err(e) => {
-            eprintln!("interlag: study failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let study =
+        lab.study_with(&w, options).map_err(|e| Stop::Failed(format!("study failed: {e}")))?;
     if let Some(j) = &journal {
         if j.write_errors() > 0 {
             eprintln!(
@@ -463,15 +569,15 @@ fn cmd_study(w: &Workload, args: StudyArgs) -> ExitCode {
         }
     }
 
-    if args.markdown {
+    if args.flag("--markdown") {
         print!("{}", study_markdown_with_ingest(&study, &ingest));
-        if args.trace_out.is_some() {
+        if trace_out.is_some() {
             print!("\n{}", obs.text_report());
         }
     } else {
         print!("{}", study_csv(&study));
     }
-    if let Some(path) = &args.trace_out {
+    if let Some(path) = trace_out {
         // `.json` gets the Chrome trace-event text; any other extension
         // gets the compact CRC-framed binary form, convertible back to the
         // identical JSON with interlag_obs::binary_trace_to_chrome_json.
@@ -480,33 +586,24 @@ fn cmd_study(w: &Workload, args: StudyArgs) -> ExitCode {
         } else {
             atomic_write(path, obs.binary_trace())
         };
-        if let Err(e) = result {
-            eprintln!("interlag: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        result.map_err(|e| Stop::Failed(format!("cannot write {path}: {e}")))?;
         eprintln!("wrote {path} (load it in about:tracing or ui.perfetto.dev)");
     }
-    if let Some(dir) = &args.csv_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("interlag: cannot create {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(dir) = args.value("--csv") {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| Stop::Failed(format!("cannot create {dir}: {e}")))?;
         let files = [
             (format!("{dir}/study-{}.csv", w.name), study_csv(&study)),
             (format!("{dir}/oracle-{}.csv", w.name), oracle_csv(&study)),
-        ];
+        ]
+        .into_iter()
+        .chain(study.all_configs().map(|c| {
+            (format!("{dir}/profile-{}-{}.csv", w.name, c.name.replace(' ', "")), profile_csv(c))
+        }));
         for (path, data) in files {
-            if let Err(e) = atomic_write(&path, data) {
-                eprintln!("interlag: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            atomic_write(&path, data)
+                .map_err(|e| Stop::Failed(format!("cannot write {path}: {e}")))?;
             eprintln!("wrote {path}");
-        }
-        for c in study.all_configs() {
-            let path = format!("{dir}/profile-{}-{}.csv", w.name, c.name.replace(' ', ""));
-            if atomic_write(&path, profile_csv(c)).is_ok() {
-                eprintln!("wrote {path}");
-            }
         }
     }
 
@@ -514,55 +611,39 @@ fn cmd_study(w: &Workload, args: StudyArgs) -> ExitCode {
     // code: downstream automation treats 4 as "reports written, but
     // incomplete — inspect before trusting aggregates".
     let degraded: usize = study.all_configs().map(|c| c.abandoned() + c.timed_out()).sum();
-    if args.resume && degraded > 0 {
+    if resume && degraded > 0 {
         eprintln!("interlag: resumed study still has {degraded} timed-out/abandoned repetition(s)");
-        return ExitCode::from(EXIT_RESUMED_DEGRADED);
+        return Ok(ExitCode::from(EXIT_RESUMED_DEGRADED));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Every occurrence of a repeatable flag's value (`--sabotage A --sabotage B`).
-fn flag_values(args: &[String], names: &[&str]) -> Vec<String> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| names.contains(&a.as_str()))
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect()
-}
-
-/// Parses an agent-side sabotage flag: `crash@N`, `wedge@N`, `tear@N`.
-fn parse_agent_sabotage(flag: &str) -> Option<SabotageKind> {
-    let (kind, at) = flag.split_once('@')?;
+/// Parses a sabotage kind: `crash@N`, `wedge@N`, `tear@N`, and
+/// `kill@N`, the supervisor-side kill at the Nth received checkpoint
+/// frame.
+fn parse_sabotage(kind_at: &str) -> Option<SabotageKind> {
+    let (kind, at) = kind_at.split_once('@')?;
     let at: u32 = at.parse().ok()?;
     match kind {
         "crash" => Some(SabotageKind::CrashAtCheckpoint(at)),
         "wedge" => Some(SabotageKind::WedgeAtCheckpoint(at)),
         "tear" => Some(SabotageKind::TearJournal(at)),
+        "kill" => Some(SabotageKind::KillAfterRecords(at)),
         _ => None,
     }
 }
 
 /// Parses a supervisor sabotage schedule entry,
 /// `KIND@CKPT:SHARD:ATTEMPT` (e.g. `crash@2:0:0`; `ATTEMPT` may be `*`
-/// for every attempt the retry budget allows). `kill` is the
-/// supervisor-side kill at the Nth received checkpoint frame.
+/// for every attempt the retry budget allows).
 fn parse_sweep_sabotage(entry: &str, budget: u32) -> Option<Vec<AgentSabotage>> {
     let mut parts = entry.split(':');
-    let kind_at = parts.next()?;
+    let kind = parse_sabotage(parts.next()?)?;
     let shard: u32 = parts.next()?.parse().ok()?;
     let attempt = parts.next()?;
     if parts.next().is_some() {
         return None;
     }
-    let (kind, at) = kind_at.split_once('@')?;
-    let at: u32 = at.parse().ok()?;
-    let kind = match kind {
-        "crash" => SabotageKind::CrashAtCheckpoint(at),
-        "wedge" => SabotageKind::WedgeAtCheckpoint(at),
-        "tear" => SabotageKind::TearJournal(at),
-        "kill" => SabotageKind::KillAfterRecords(at),
-        _ => return None,
-    };
     let attempts: Vec<u32> =
         if attempt == "*" { (0..=budget).collect() } else { vec![attempt.parse().ok()?] };
     Some(attempts.into_iter().map(|attempt| AgentSabotage { shard, attempt, kind }).collect())
@@ -573,45 +654,35 @@ fn parse_sweep_sabotage(entry: &str, budget: u32) -> Option<Vec<AgentSabotage>> 
 /// on stdout — or, with `--connect`, as a resumable epoch-fenced TCP
 /// session; the shard journal on disk is the durable result either way.
 /// With `--worker` it instead loops as a self-registering remote worker.
-fn cmd_agent(w: &Workload, args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--worker") {
-        return cmd_worker(w, args);
+fn cmd_agent(args: &Args) -> Outcome {
+    let w = args.workload()?;
+    if args.flag("--worker") {
+        return cmd_worker(&w, args);
     }
-    let reps = flag_or!(args, &["-r", "--reps"], 1);
-    let Some(shard) = flag_opt!(args, &["--shard"]) else {
-        eprintln!("interlag: agent requires --shard N");
-        return usage();
+    let reps = args.number("--reps")?.unwrap_or(1);
+    let shard = args.require_number("--shard")?;
+    let of = args.require_number("--of")?;
+    let stage = args.require("--stage")?;
+    let Some(stage) = parse_stage(stage) else {
+        return Err(args.reject(format!("bad --stage {stage:?} (stage1, oracle)")));
     };
-    let Some(of) = flag_opt!(args, &["--of"]) else {
-        eprintln!("interlag: agent requires --of N");
-        return usage();
-    };
-    let Some(stage) = flag_value(args, &["--stage"]).as_deref().and_then(parse_stage) else {
-        eprintln!("interlag: agent requires --stage stage1|oracle");
-        return usage();
-    };
-    let Some(journal) = flag_value(args, &["--journal"]) else {
-        eprintln!("interlag: agent requires --journal FILE");
-        return usage();
-    };
-    let heartbeat = flag_or!(args, &["--heartbeat-ms"], 1_000u64);
-    let sabotage = match flag_value(args, &["--sabotage"]) {
+    let journal = args.require("--journal")?;
+    let heartbeat = args.number("--heartbeat-ms")?.unwrap_or(1_000u64);
+    // `kill` is the supervisor's to inflict; an agent cannot kill itself.
+    let sabotage = match args.value("--sabotage").map(|flag| (flag, parse_sabotage(flag))) {
         None => None,
-        Some(flag) => match parse_agent_sabotage(&flag) {
-            Some(kind) => Some(kind),
-            None => {
-                eprintln!("interlag: bad --sabotage {flag:?} (crash@N, wedge@N, tear@N)");
-                return usage();
-            }
-        },
+        Some((flag, None | Some(SabotageKind::KillAfterRecords(_)))) => {
+            return Err(args.reject(format!("bad --sabotage {flag:?} (crash@N, wedge@N, tear@N)")))
+        }
+        Some((_, kind)) => kind,
     };
     let mut lab = LabConfig { reps, ..Default::default() };
-    if let Some(jitter) = flag_opt!(args, &["--jitter-us"]) {
+    if let Some(jitter) = args.number("--jitter-us")? {
         // Part of the study fingerprint: must match the supervisor's lab.
         lab.jitter_us = jitter;
     }
     let cfg = AgentConfig {
-        workload: w.clone(),
+        workload: w,
         lab,
         scope: StudyScope { shard, of, stage },
         journal_path: journal.into(),
@@ -620,44 +691,34 @@ fn cmd_agent(w: &Workload, args: &[String]) -> ExitCode {
         abort_on_crash: true,
         kill: None,
     };
-    let outcome = match flag_value(args, &["--connect"]) {
+    let outcome = match args.value("--connect") {
         None => run_agent(cfg, Box::new(std::io::stdout())),
         Some(addr) => {
             let opts = TcpClientOpts {
-                addr,
-                epoch: flag_or!(args, &["--epoch"], 1u64),
-                attempt: flag_or!(args, &["--attempt"], 0u32),
-                policy: match client_policy(args) {
-                    Ok(policy) => policy,
-                    Err(code) => return code,
-                },
+                addr: addr.to_string(),
+                epoch: args.number("--epoch")?.unwrap_or(1u64),
+                attempt: args.number("--attempt")?.unwrap_or(0u32),
+                policy: client_policy(args)?,
             };
             run_tcp_agent(opts, cfg)
         }
     };
-    match outcome {
-        Ok(report) => {
-            eprintln!(
-                "interlag agent {shard}/{of}: {} repetition(s) journalled, {} write error(s)",
-                report.completed, report.write_errors
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("interlag: agent failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let report = outcome.map_err(|e| Stop::Failed(format!("agent failed: {e}")))?;
+    eprintln!(
+        "interlag agent {shard}/{of}: {} repetition(s) journalled, {} write error(s)",
+        report.completed, report.write_errors
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Reconnect policy shared by `agent --connect` and `agent --worker`:
 /// defaults unless overridden by `--retry-budget` / `--backoff-seed`.
-fn client_policy(args: &[String]) -> Result<ClientPolicy, ExitCode> {
+fn client_policy(args: &Args) -> Result<ClientPolicy, Stop> {
     let mut policy = ClientPolicy::default();
-    if let Some(budget) = numeric_flag(args, &["--retry-budget"])? {
+    if let Some(budget) = args.number("--retry-budget")? {
         policy.retry_budget = budget;
     }
-    if let Some(seed) = numeric_flag(args, &["--backoff-seed"])? {
+    if let Some(seed) = args.number("--backoff-seed")? {
         policy.backoff_seed = seed;
     }
     Ok(policy)
@@ -666,26 +727,18 @@ fn client_policy(args: &[String]) -> Result<ClientPolicy, ExitCode> {
 /// `interlag agent --worker`: connect to a `sweep --transport tcp
 /// --remote-agents` supervisor, announce availability, and run every
 /// assigned shard as its own epoch-fenced TCP session until drained.
-fn cmd_worker(w: &Workload, args: &[String]) -> ExitCode {
-    let Some(addr) = flag_value(args, &["--connect"]) else {
-        eprintln!("interlag: agent --worker requires --connect ADDR");
-        return usage();
-    };
-    let policy = match client_policy(args) {
-        Ok(policy) => policy,
-        Err(code) => return code,
-    };
-    let scratch = flag_value(args, &["--scratch"]).unwrap_or_else(|| {
+fn cmd_worker(w: &Workload, args: &Args) -> Outcome {
+    let addr = args.require("--connect")?;
+    let policy = client_policy(args)?;
+    let jitter = args.number("--jitter-us")?;
+    let scratch = args.value("--scratch").map(str::to_string).unwrap_or_else(|| {
         std::env::temp_dir()
             .join(format!("interlag-worker-{}", std::process::id()))
             .to_string_lossy()
             .into_owned()
     });
-    if let Err(e) = std::fs::create_dir_all(&scratch) {
-        eprintln!("interlag: cannot create scratch dir {scratch}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let jitter = flag_opt!(args, &["--jitter-us"]);
+    std::fs::create_dir_all(&scratch)
+        .map_err(|e| Stop::Failed(format!("cannot create scratch dir {scratch}: {e}")))?;
     // A supervisor kill (lease revoked, watchdog fired) unwinds the task
     // as `AgentDeath` by design; the worker catches it and goes back to
     // the queue. Keep the default hook's backtrace for real panics only.
@@ -695,7 +748,7 @@ fn cmd_worker(w: &Workload, args: &[String]) -> ExitCode {
             default_hook(info);
         }
     }));
-    let outcome = run_tcp_worker(&addr, &policy, std::path::Path::new(&scratch), |task| {
+    let outcome = run_tcp_worker(addr, &policy, std::path::Path::new(&scratch), |task| {
         let mut lab = LabConfig { reps: task.reps, ..Default::default() };
         if let Some(us) = jitter {
             lab.jitter_us = us;
@@ -718,16 +771,9 @@ fn cmd_worker(w: &Workload, args: &[String]) -> ExitCode {
             kill: Some(std::sync::Arc::new(KillSwitch::new())),
         }
     });
-    match outcome {
-        Ok(tasks) => {
-            eprintln!("interlag worker: drained after {tasks} task(s)");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("interlag: worker failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let tasks = outcome.map_err(|e| Stop::Failed(format!("worker failed: {e}")))?;
+    eprintln!("interlag worker: drained after {tasks} task(s)");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Parses `--net-chaos PROFILE@SEED` (seed decimal or `0x` hex).
@@ -739,17 +785,6 @@ fn parse_net_chaos(text: &str) -> Option<(NetFaults, u64)> {
         None => seed.parse().ok()?,
     };
     Some((faults, seed))
-}
-
-/// Extracts one counter's value from a [`Recorder::text_report`]
-/// Markdown table (`| name | value |`); `0` when absent.
-fn counter_row(report: &str, name: &str) -> u64 {
-    let needle = format!("| {name} | ");
-    report
-        .lines()
-        .find_map(|l| l.strip_prefix(&needle))
-        .and_then(|rest| rest.trim_end_matches(" |").trim().parse().ok())
-        .unwrap_or(0)
 }
 
 /// One expanded matrix point's effective sweep knobs.
@@ -789,13 +824,12 @@ fn sweep_points(matrix: Option<&str>, reps: u32, shards: u32) -> Result<Vec<Swee
                 label: Some(point.to_string()),
             };
             for (key, value) in point.pairs() {
-                let parsed = value
-                    .parse()
-                    .map_err(|_| format!("bad --matrix: {key}={value} is not an unsigned integer"));
+                let bad =
+                    || format!("bad --matrix: {key}={value} is not an unsigned integer in range");
                 match key.as_str() {
-                    "reps" => p.reps = parsed? as u32,
-                    "jitter-us" => p.jitter_us = Some(parsed?),
-                    "shards" => p.shards = parsed? as u32,
+                    "reps" => p.reps = value.parse().map_err(|_| bad())?,
+                    "jitter-us" => p.jitter_us = Some(value.parse().map_err(|_| bad())?),
+                    "shards" => p.shards = value.parse().map_err(|_| bad())?,
                     other => {
                         return Err(format!(
                             "bad --matrix: unsupported key {other:?} (reps, jitter-us, shards)"
@@ -812,68 +846,66 @@ fn sweep_points(matrix: Option<&str>, reps: u32, shards: u32) -> Result<Vec<Swee
 /// `interlag agent` child processes and merged byte-identically. With
 /// `--matrix` the whole sweep runs once per expanded point; with `--db`
 /// each point's sealed submission is folded into the results database.
-fn cmd_sweep(w: &Workload, dataset: &str, args: &[String]) -> ExitCode {
-    let reps = flag_or!(args, &["-r", "--reps"], 1);
-    let shards = flag_or!(args, &["--shards"], 4u32);
-    let journal_dir = flag_value(args, &["--journal-dir"]).unwrap_or_else(|| {
+fn cmd_sweep(args: &Args) -> Outcome {
+    let w = args.workload()?;
+    let dataset = &args.operands[0];
+    let reps = args.number("--reps")?.unwrap_or(1);
+    let shards = args.number("--shards")?.unwrap_or(4u32);
+    let journal_dir = args.value("--journal-dir").map(str::to_string).unwrap_or_else(|| {
         std::env::temp_dir()
             .join(format!("interlag-sweep-{}-{}", w.name, std::process::id()))
             .to_string_lossy()
             .into_owned()
     });
-    let matrix = flag_value(args, &["--matrix"]);
-    let points = match sweep_points(matrix.as_deref(), reps, shards) {
-        Ok(points) => points,
-        Err(e) => {
-            eprintln!("interlag: {e}");
-            return usage();
-        }
-    };
-    let base_jitter = flag_opt!(args, &["--jitter-us"]);
-    let mut db = match flag_value(args, &["--db"]) {
-        None => None,
-        Some(dir) => match Db::open(&dir, Default::default()) {
-            Ok(db) => Some(db),
-            Err(e) => {
-                eprintln!("interlag: cannot open db {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("interlag: cannot locate own binary to spawn agents: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let tcp = match flag_value(args, &["--transport"]).as_deref() {
+    let points = sweep_points(args.value("--matrix"), reps, shards).map_err(|e| args.reject(e))?;
+    let base_jitter = args.number("--jitter-us")?;
+    let defaults = SweepConfig::new(shards, &journal_dir);
+    let retry_budget = args.number("--retry-budget")?.unwrap_or(defaults.retry_budget);
+    let heartbeat = Duration::from_millis(args.number("--heartbeat-ms")?.unwrap_or(250));
+    let heartbeat_timeout = args
+        .number("--watchdog-ms")?
+        .map_or(defaults.heartbeat_timeout, Duration::from_millis)
+        .max(heartbeat.saturating_mul(4));
+    let mut sabotage = Vec::new();
+    for entry in args.values("--sabotage") {
+        let Some(mut parsed) = parse_sweep_sabotage(entry, retry_budget) else {
+            return Err(args.reject(format!(
+                "bad --sabotage {entry:?} \
+                 (KIND@CKPT:SHARD:ATTEMPT, kinds crash wedge tear kill, attempt may be *)"
+            )));
+        };
+        sabotage.append(&mut parsed);
+    }
+    let tcp = match args.value("--transport") {
         None | Some("process") => false,
         Some("tcp") => true,
         Some(other) => {
-            eprintln!("interlag: unknown --transport {other:?} (process, tcp)");
-            return usage();
+            return Err(args.reject(format!("unknown --transport {other:?} (process, tcp)")))
         }
     };
-    let listen = flag_value(args, &["--listen"]).unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let remote_agents = args.iter().any(|a| a == "--remote-agents");
-    let net_chaos = match flag_value(args, &["--net-chaos"]) {
-        None => None,
-        Some(text) => match parse_net_chaos(&text) {
-            Some(parsed) => Some(parsed),
-            None => {
-                eprintln!(
-                    "interlag: bad --net-chaos {text:?} (PROFILE@SEED, profiles \
+    let listen = args.value("--listen");
+    let remote_agents = args.flag("--remote-agents");
+    let net_chaos = args
+        .value("--net-chaos")
+        .map(|text| {
+            parse_net_chaos(text).ok_or_else(|| {
+                args.reject(format!(
+                    "bad --net-chaos {text:?} (PROFILE@SEED, profiles \
                      partition rst reorder duplicate delay storm)"
-                );
-                return usage();
-            }
-        },
-    };
-    if !tcp && (remote_agents || net_chaos.is_some() || flag_value(args, &["--listen"]).is_some()) {
-        eprintln!("interlag: --listen/--remote-agents/--net-chaos require --transport tcp");
-        return usage();
+                ))
+            })
+        })
+        .transpose()?;
+    if !tcp && (remote_agents || net_chaos.is_some() || listen.is_some()) {
+        return Err(args.reject("--listen/--remote-agents/--net-chaos require --transport tcp"));
     }
+    if tcp && !sabotage.is_empty() {
+        return Err(args.reject("--sabotage is not supported with --transport tcp"));
+    }
+    let listen = listen.unwrap_or("127.0.0.1:0");
+    let mut db = args.value("--db").map(open_db).transpose()?;
+    let exe = std::env::current_exe()
+        .map_err(|e| Stop::Failed(format!("cannot locate own binary to spawn agents: {e}")))?;
 
     let multi = points.len() > 1;
     let mut worst = ExitCode::SUCCESS;
@@ -881,27 +913,8 @@ fn cmd_sweep(w: &Workload, dataset: &str, args: &[String]) -> ExitCode {
         let dir = if multi { format!("{journal_dir}/point-{i}") } else { journal_dir.clone() };
         let mut cfg = SweepConfig::new(point.shards, dir);
         cfg.props = point.props.clone();
-        if let Some(budget) = flag_opt!(args, &["--retry-budget"]) {
-            cfg.retry_budget = budget;
-        }
-        let heartbeat = flag_or!(args, &["--heartbeat-ms"], 250u64);
-        if let Some(ms) = flag_opt!(args, &["--watchdog-ms"]) {
-            cfg.heartbeat_timeout = Duration::from_millis(ms);
-        }
-        cfg.heartbeat_timeout = cfg.heartbeat_timeout.max(Duration::from_millis(heartbeat * 4));
-        let mut sabotage = Vec::new();
-        for entry in flag_values(args, &["--sabotage"]) {
-            match parse_sweep_sabotage(&entry, cfg.retry_budget) {
-                Some(mut parsed) => sabotage.append(&mut parsed),
-                None => {
-                    eprintln!(
-                        "interlag: bad --sabotage {entry:?} \
-                         (KIND@CKPT:SHARD:ATTEMPT, kinds crash wedge tear kill, attempt may be *)"
-                    );
-                    return usage();
-                }
-            }
-        }
+        cfg.retry_budget = retry_budget;
+        cfg.heartbeat_timeout = heartbeat_timeout;
         let jitter = point.jitter_us.or(base_jitter);
         let mut extra_args = Vec::new();
         if let Some(us) = jitter {
@@ -912,10 +925,6 @@ fn cmd_sweep(w: &Workload, dataset: &str, args: &[String]) -> ExitCode {
             lab.jitter_us = us;
         }
         let out = if tcp {
-            if !sabotage.is_empty() {
-                eprintln!("interlag: --sabotage is not supported with --transport tcp");
-                return usage();
-            }
             // The session counters (reconnects, fenced epochs, lease
             // expiries, injected faults) are the transport's whole
             // observable surface — record them unconditionally.
@@ -930,30 +939,16 @@ fn cmd_sweep(w: &Workload, dataset: &str, args: &[String]) -> ExitCode {
                     extra_args,
                 }
             };
-            let mut transport = match TcpTransport::bind(
-                &listen,
-                mode,
-                Duration::from_millis(heartbeat),
-                lab.obs.clone(),
-            ) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("interlag: cannot bind {listen}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let mut transport = TcpTransport::bind(listen, mode, heartbeat, lab.obs.clone())
+                .map_err(|e| Stop::Failed(format!("cannot bind {listen}: {e}")))?;
             let proxy = match &net_chaos {
                 None => None,
-                Some((faults, seed)) => match ChaosProxy::spawn(transport.addr(), *faults, *seed) {
-                    Ok(p) => {
-                        transport.connect_addr = p.addr().to_string();
-                        Some(p)
-                    }
-                    Err(e) => {
-                        eprintln!("interlag: cannot spawn chaos proxy: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
+                Some((faults, seed)) => {
+                    let p = ChaosProxy::spawn(transport.addr(), *faults, *seed)
+                        .map_err(|e| Stop::Failed(format!("cannot spawn chaos proxy: {e}")))?;
+                    transport.connect_addr = p.addr().to_string();
+                    Some(p)
+                }
             };
             if remote_agents {
                 eprintln!(
@@ -962,18 +957,17 @@ fn cmd_sweep(w: &Workload, dataset: &str, args: &[String]) -> ExitCode {
                     transport.connect_addr, transport.connect_addr,
                 );
             }
-            let out = run_sweep(w, lab.clone(), &mut transport, &cfg);
+            let out = run_sweep(&w, lab.clone(), &mut transport, &cfg);
             if let Some(p) = &proxy {
                 lab.obs.count(Counter::NetFaultsInjected, p.injected().total());
             }
-            let report = lab.obs.text_report();
             eprintln!(
                 "interlag sweep: tcp transport: {} reconnect(s), {} lease expiry(ies), \
                  {} fenced record(s), {} fault(s) injected",
-                counter_row(&report, "agent_reconnects"),
-                counter_row(&report, "lease_expiries"),
-                counter_row(&report, "fenced_epoch_records"),
-                counter_row(&report, "net_faults_injected"),
+                lab.obs.counter(Counter::AgentReconnects),
+                lab.obs.counter(Counter::LeaseExpiries),
+                lab.obs.counter(Counter::FencedEpochRecords),
+                lab.obs.counter(Counter::NetFaultsInjected),
             );
             out
         } else {
@@ -981,25 +975,19 @@ fn cmd_sweep(w: &Workload, dataset: &str, args: &[String]) -> ExitCode {
                 exe: exe.clone(),
                 dataset: dataset.to_string(),
                 reps: point.reps,
-                heartbeat: Duration::from_millis(heartbeat),
+                heartbeat,
                 faults: TransportFaults::none(),
                 fault_seed: 0,
-                sabotage,
+                sabotage: sabotage.clone(),
                 extra_args,
             };
-            run_sweep(w, lab, &mut transport, &cfg)
+            run_sweep(&w, lab, &mut transport, &cfg)
         };
-        let out = match out {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("interlag: sweep failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let out = out.map_err(|e| Stop::Failed(format!("sweep failed: {e}")))?;
         if let Some(label) = &point.label {
             println!("# matrix-point: {label}");
         }
-        if args.iter().any(|a| a == "--markdown") {
+        if args.flag("--markdown") {
             print!("{}", study_markdown_with_ingest(&out.study, &IngestReport::default()));
         } else {
             print!("{}", study_csv(&out.study));
@@ -1039,43 +1027,22 @@ fn cmd_sweep(w: &Workload, dataset: &str, args: &[String]) -> ExitCode {
             worst = ExitCode::from(EXIT_SWEEP_DEGRADED);
         }
     }
-    worst
+    Ok(worst)
 }
 
-/// `interlag db`: the fleet results database verbs.
-fn cmd_db(args: &[String]) -> ExitCode {
-    let Some(verb) = args.get(1).map(String::as_str) else {
-        eprintln!("interlag: db requires a verb: ingest, query or export");
-        return usage();
-    };
-    let Some(dir) = flag_value(args, &["--db"]) else {
-        eprintln!("interlag: db {verb} requires --db DIR");
-        return usage();
-    };
-    let mut db = match Db::open(&dir, Default::default()) {
-        Ok(db) => db,
-        Err(e) => {
-            eprintln!("interlag: cannot open db {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match verb {
-        "ingest" => {
-            // Positional operands: everything after the verb that is not a
-            // flag or a flag's value.
-            let artifacts: Vec<&String> = args
-                .iter()
-                .enumerate()
-                .skip(2)
-                .filter(|(i, a)| !a.starts_with("--") && args[i - 1] != "--db")
-                .map(|(_, a)| a)
-                .collect();
-            if artifacts.is_empty() {
-                eprintln!("interlag: db ingest requires at least one ARTIFACT");
-                return usage();
-            }
+fn open_db(dir: &str) -> Result<Db, Stop> {
+    Db::open(dir, Default::default())
+        .map_err(|e| Stop::Failed(format!("cannot open db {dir}: {e}")))
+}
+
+/// `interlag db ingest|query|export`: the fleet results database.
+fn cmd_db(args: &Args) -> Outcome {
+    let mut db = open_db(args.require("--db")?)?;
+    match args.verb.name {
+        "db ingest" => {
+            let artifacts = &args.operands;
             let mut rejected = 0usize;
-            for path in &artifacts {
+            for path in artifacts {
                 match db.ingest_file(path) {
                     Ok(receipt) => eprintln!(
                         "ingested {path}: submission {:016x}, {} repetition(s), \
@@ -1094,101 +1061,55 @@ fn cmd_db(args: &[String]) -> ExitCode {
                 db.groups().len(),
             );
             if rejected > 0 {
-                return ExitCode::from(EXIT_INGEST_REJECTED);
+                return Ok(ExitCode::from(EXIT_INGEST_REJECTED));
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        "query" => {
-            let Some(group) = args
-                .iter()
-                .enumerate()
-                .skip(2)
-                .find(|(i, a)| !a.starts_with("--") && args[i - 1] != "--db")
-                .map(|(_, a)| a)
-            else {
-                eprintln!("interlag: db query requires a property group");
-                return usage();
-            };
-            match interlag::db::query(&db, group) {
-                Ok(rows) => {
-                    print!("{rows}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("interlag: {e}");
-                    usage()
-                }
+        "db query" => match interlag::db::query(&db, &args.operands[0]) {
+            Ok(rows) => {
+                print!("{rows}");
+                Ok(ExitCode::SUCCESS)
             }
-        }
-        "export" => {
-            if args.iter().any(|a| a == "--markdown") {
+            Err(e) => Err(args.reject(e.to_string())),
+        },
+        _ => {
+            if args.flag("--markdown") {
                 print!("{}", interlag::db::export_markdown(&db));
             } else {
                 print!("{}", interlag::db::export_csv(&db));
             }
-            ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!("interlag: unknown db verb {other:?} (ingest, query, export)");
-            usage()
+            Ok(ExitCode::SUCCESS)
         }
     }
 }
 
 /// `interlag tune`: score a governor-tunable grid against the oracle.
-fn cmd_tune(w: &Workload, args: &[String]) -> ExitCode {
-    let Some(group) = args
-        .iter()
-        .enumerate()
-        .skip(2)
-        .find(|(i, a)| {
-            !a.starts_with("--")
-                && !matches!(args[i - 1].as_str(), "--workers" | "--shards" | "--out")
-        })
-        .map(|(_, a)| a.clone())
-    else {
-        eprintln!("interlag: tune requires a tunable property group");
-        return usage();
-    };
-    let mut config = TuneConfig::new(group);
-    if let Some(workers) = flag_opt!(args, &["--workers"]) {
+fn cmd_tune(args: &Args) -> Outcome {
+    let w = args.workload()?;
+    let mut config = TuneConfig::new(args.operands[1].clone());
+    if let Some(workers) = args.number("--workers")? {
         config.workers = workers;
     }
-    if let Some(shards) = flag_opt!(args, &["--shards"]) {
+    if let Some(shards) = args.number("--shards")? {
         config.shards = shards;
     }
-    let out = match run_tune(w, &config) {
-        Ok(out) => out,
-        Err(e @ TuneError::Prop(_)) => {
-            eprintln!("interlag: {e}");
-            return usage();
-        }
-        Err(e) => {
-            eprintln!("interlag: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.iter().any(|a| a == "--csv") {
+    let out = run_tune(&w, &config).map_err(|e| match e {
+        TuneError::Prop(_) => args.reject(e.to_string()),
+        e => Stop::Failed(e.to_string()),
+    })?;
+    if args.flag("--csv") {
         print!("{}", tune_csv(&out));
     } else {
         print!("{}", tune_markdown(&out));
     }
-    if let Some(dir) = flag_value(args, &["--out"]) {
-        let dir = std::path::Path::new(&dir);
-        if let Err(e) = std::fs::create_dir_all(dir)
-            .map_err(|e| e.to_string())
+    if let Some(dir) = args.value("--out") {
+        let dir = std::path::Path::new(dir);
+        std::fs::create_dir_all(dir)
             .and_then(|()| {
-                atomic_write(dir.join("frontier.md"), tune_markdown(&out).as_bytes())
-                    .map_err(|e| e.to_string())
+                atomic_write(dir.join("frontier.md"), tune_markdown(&out))?;
+                atomic_write(dir.join("frontier.csv"), tune_csv(&out))
             })
-            .and_then(|()| {
-                atomic_write(dir.join("frontier.csv"), tune_csv(&out).as_bytes())
-                    .map_err(|e| e.to_string())
-            })
-        {
-            eprintln!("interlag: cannot write {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+            .map_err(|e| Stop::Failed(format!("cannot write {}: {e}", dir.display())))?;
     }
     eprintln!(
         "interlag tune: {} point(s) × {} rep(s), {} on the Pareto frontier",
@@ -1196,81 +1117,145 @@ fn cmd_tune(w: &Workload, args: &[String]) -> ExitCode {
         out.reps,
         out.frontier.len(),
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_oracle(w: &Workload) -> ExitCode {
+fn cmd_oracle(args: &Args) -> Outcome {
+    let w = args.workload()?;
     let lab = Lab::new(LabConfig::default());
-    let study = match lab.study(w) {
-        Ok(study) => study,
-        Err(e) => {
-            eprintln!("interlag: study failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let study = lab.study(&w).map_err(|e| Stop::Failed(format!("study failed: {e}")))?;
     print!("{}", oracle_csv(&study));
     eprintln!("efficient frequency outside lags: {}", lab.power_table().most_efficient_freq());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first().map(String::as_str) else {
-        return usage();
-    };
-    match command {
-        "datasets" => cmd_datasets(),
-        "db" => cmd_db(&args),
-        "record" | "classify" | "replay" | "study" | "oracle" | "sweep" | "agent" | "tune" => {
-            let Some(target) = args.get(1) else { return usage() };
-            if command == "classify" {
-                return cmd_classify(target);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if matches!(argv.first().map(String::as_str), Some("help" | "-h" | "--help")) {
+        print!("{}", usage(None));
+        return ExitCode::SUCCESS;
+    }
+    match find_verb(&argv).and_then(|(verb, rest)| (verb.run)(&parse(verb, rest)?)) {
+        Ok(code) => code,
+        Err(Stop::Usage { verb, msg }) => {
+            eprintln!("interlag: {msg}");
+            eprint!("{}", usage(verb));
+            ExitCode::from(EXIT_USAGE)
+        }
+        Err(Stop::Failed(msg)) => {
+            eprintln!("interlag: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_words(argv: &[String]) -> Result<Args, Stop> {
+        find_verb(argv).and_then(|(verb, rest)| parse(verb, rest))
+    }
+
+    fn parse_line(line: &str) -> Result<Args, Stop> {
+        parse_words(&line.split_whitespace().map(str::to_string).collect::<Vec<_>>())
+    }
+
+    fn message(stop: Stop) -> String {
+        match stop {
+            Stop::Usage { msg, .. } | Stop::Failed(msg) => msg,
+        }
+    }
+
+    /// A shell command line's words, unquoted, up to a comment, a
+    /// redirection or a pipe.
+    fn shell_words(line: &str) -> Vec<String> {
+        let (mut words, mut word, mut quote) = (Vec::new(), String::new(), None);
+        for c in line.chars() {
+            match (quote, c) {
+                (Some(q), c) if c == q => quote = None,
+                (Some(_), c) => word.push(c),
+                (None, '\'' | '"') => quote = Some(c),
+                (None, '#' | '>' | '|' | '&' | ';') => break,
+                (None, c) if c.is_whitespace() => words.push(std::mem::take(&mut word)),
+                (None, c) => word.push(c),
             }
-            let Some(ds) = dataset(target) else {
-                eprintln!("interlag: unknown dataset {target:?}");
-                return ExitCode::from(2);
+        }
+        words.push(word);
+        words.retain(|w| !w.is_empty());
+        words
+    }
+
+    /// Every `interlag …`, `$BIN …` (README's name for `cargo run
+    /// --release --bin interlag --`) and `cargo run … --bin interlag -- …`
+    /// line in README.md's code blocks must parse against the tables.
+    #[test]
+    fn readme_command_lines_parse() {
+        let readme = include_str!("../../README.md").replace("\\\n", " ");
+        let (mut in_code, mut checked) = (false, 0);
+        for line in readme.lines() {
+            in_code ^= line.trim_start().starts_with("```");
+            let words = shell_words(line);
+            let start = match words.first().map(String::as_str) {
+                _ if !in_code => continue,
+                Some("interlag" | "$BIN") => 1,
+                Some("cargo") if words.windows(2).any(|w| w == ["--bin", "interlag"]) => {
+                    words.iter().position(|w| w == "--").expect("cargo run … --") + 1
+                }
+                _ => continue,
             };
-            let w = ds.build();
-            match command {
-                "record" => cmd_record(&w, flag_value(&args, &["-o", "--out"])),
-                "replay" => {
-                    let Some(g) = flag_value(&args, &["-g", "--governor"]) else {
-                        return usage();
-                    };
-                    cmd_replay(&w, &g)
-                }
-                "study" => {
-                    let reps = flag_or!(&args, &["-r", "--reps"], 1);
-                    let resume = args.iter().any(|a| a == "--resume");
-                    if resume && flag_value(&args, &["--journal"]).is_none() {
-                        eprintln!("interlag: --resume requires --journal FILE");
-                        return usage();
-                    }
-                    cmd_study(
-                        &w,
-                        StudyArgs {
-                            reps,
-                            csv_dir: flag_value(&args, &["--csv"]),
-                            markdown: args.iter().any(|a| a == "--markdown"),
-                            trace_out: flag_value(&args, &["-t", "--trace"]),
-                            events: flag_value(&args, &["--events"]),
-                            strict: args.iter().any(|a| a == "--strict"),
-                            journal: flag_value(&args, &["--journal"]),
-                            resume,
-                        },
-                    )
-                }
-                "oracle" => cmd_oracle(&w),
-                "sweep" => cmd_sweep(&w, target, &args),
-                "agent" => cmd_agent(&w, &args),
-                "tune" => cmd_tune(&w, &args),
-                _ => unreachable!("matched above"),
+            if let Err(stop) = parse_words(&words[start..]) {
+                panic!("README: `{}` does not parse: {}", line.trim(), message(stop));
             }
+            checked += 1;
         }
-        "-h" | "--help" | "help" => usage(),
-        other => {
-            eprintln!("interlag: unknown command {other:?}");
-            usage()
+        assert!(checked >= 15, "only {checked} README command lines found");
+    }
+
+    #[test]
+    fn misparses_are_usage_errors() {
+        for (line, why) in [
+            ("study mini --rep 3", "study has no flag --rep"),
+            ("study mini --journal", "--journal wants a value (FILE)"),
+            ("study mini --journal --resume", "--journal wants a value (FILE)"),
+            ("tune mini governor=ondemand --workers", "--workers wants a value (N)"),
+            ("study mini -r 2 --reps 3", "--reps given more than once"),
+            ("tune mini", "tune requires <GROUP>"),
+            ("oracle mini 02", "unexpected operand \"02\""),
+            ("replay mini", "replay requires --governor GOVERNOR"),
+            ("db ingest --db results", "db ingest requires <ARTIFACT...>"),
+            ("db", "db requires a verb: ingest, query or export"),
+        ] {
+            let stop = parse_line(line).err().unwrap_or_else(|| panic!("`{line}` parsed"));
+            assert!(matches!(stop, Stop::Usage { .. }), "{line}");
+            assert_eq!(message(stop), why, "{line}");
         }
+        let args = parse_line("study mini -r x --markdown -t t.json").ok().expect("parses");
+        assert_eq!(args.value("--trace"), Some("t.json"), "a switch takes no value");
+        assert_eq!(
+            message(args.number::<u32>("--reps").expect_err("x is no number")),
+            "--reps wants a number, got \"x\""
+        );
+    }
+
+    /// The agent command lines `ProcessTransport` and `TcpTransport`
+    /// spawn, and repeated sweep sabotage.
+    #[test]
+    fn spawned_command_lines_parse() {
+        let base = "agent mini -r 2 --shard 1 --of 4 --stage oracle --journal j --heartbeat-ms 250";
+        for extra in
+            ["--jitter-us 900 --sabotage crash@2", "--connect 127.0.0.1:1 --epoch 3 --attempt 1"]
+        {
+            let args =
+                parse_line(&format!("{base} {extra}")).unwrap_or_else(|e| panic!("{}", message(e)));
+            assert_eq!(args.require_number::<u32>("--of").ok(), Some(4));
+        }
+        let args = parse_line("sweep mini --sabotage crash@1:0:0 --sabotage kill@2:1:*").ok();
+        assert_eq!(args.map(|a| a.values("--sabotage").len()), Some(2));
+        let err = sweep_points(Some("reps=4294967297"), 1, 4).err();
+        assert_eq!(
+            err.as_deref(),
+            Some("bad --matrix: reps=4294967297 is not an unsigned integer in range")
+        );
     }
 }

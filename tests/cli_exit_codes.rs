@@ -1,7 +1,8 @@
 //! The CLI's exit-code contract, end to end against the real binary:
-//! 0 = success, 2 = usage error, 3 = corrupt dataset under `--strict`,
-//! 4 = a resumed study that still carries timed-out or abandoned reps,
-//! 5 = a sharded sweep that completed degraded (abandoned shards).
+//! 0 = success, 1 = runtime failure, 2 = usage error, 3 = corrupt
+//! dataset under `--strict`, 4 = a resumed study that still carries
+//! timed-out or abandoned reps, 5 = a sharded sweep that completed
+//! degraded (abandoned shards).
 //! Automation scripts branch on these, so they are tested as an
 //! interface, not an implementation detail.
 
@@ -33,6 +34,11 @@ fn clean_study_exits_zero() {
 
 #[test]
 fn usage_errors_exit_two() {
+    for help in ["help", "-h", "--help"] {
+        let out = interlag_cmd().arg(help).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{help}");
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: interlag"), "{help}");
+    }
     assert_eq!(exit_code(&mut interlag_cmd()), 2, "no arguments");
     assert_eq!(exit_code(interlag_cmd().arg("frobnicate")), 2, "unknown command");
     assert_eq!(exit_code(interlag_cmd().args(["study", "no-such-dataset"])), 2);
@@ -41,6 +47,37 @@ fn usage_errors_exit_two() {
         2,
         "--resume without --journal"
     );
+}
+
+/// Command lines hand parsing once misread: a mistyped flag was ignored,
+/// a missing value defaulted, and a flag was taken as a file name.
+#[test]
+fn misparsed_command_lines_exit_two() {
+    let dir = temp_path("misparse");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    for args in [
+        &["study", "mini", "--rep", "3"][..],
+        &["study", "mini", "--journal"],
+        &["study", "mini", "--journal", "--resume"],
+        &["tune", "mini", "governor=interactive:go-hispeed-load=80", "--workers"],
+    ] {
+        assert_eq!(exit_code(interlag_cmd().args(args).current_dir(&dir)), 2, "{args:?}");
+    }
+    assert!(!dir.join("--resume").exists(), "--resume was taken as the journal's name");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A report file `study --csv` cannot write is a failure (exit 1), the
+/// per-configuration profiles included.
+#[test]
+fn unwritable_profile_csv_exits_one() {
+    let dir = temp_path("csv-blocked");
+    let _ = std::fs::remove_dir_all(&dir);
+    // A directory where a profile CSV should go makes its write fail.
+    std::fs::create_dir_all(dir.join("profile-mini-conservative.csv")).expect("create blocker");
+    let csv_dir = dir.to_str().expect("utf-8 temp path");
+    assert_eq!(exit_code(interlag_cmd().args(["study", "mini", "--csv", csv_dir])), 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
