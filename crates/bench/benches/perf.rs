@@ -130,7 +130,7 @@ struct MatcherNumbers {
 }
 
 /// Marks up many pending lags over one video: the batched single walk
-/// (shared packing, masks and verdict caches) against the per-lag walker.
+/// (shared content runs, masks and verdict caches) against the per-lag walker.
 ///
 /// Paper-scale rep: a ten-minute 30 fps capture, a few dozen
 /// interactions whose endings are spread across the whole video. The
@@ -146,10 +146,10 @@ fn matcher_section(samples: usize) -> MatcherNumbers {
     // verdict runs the diff kernels.
     let mut db = interlag_core::annotation::AnnotationDb::new("perf");
     for id in 0..lags as usize {
-        let frame_idx = ((id as u32 * frames / lags).min(frames - 1)) as usize;
+        let frame_idx = (id as u32 * frames / lags).min(frames - 1);
         db.insert(interlag_core::annotation::LagAnnotation {
             interaction_id: id,
-            image: video.frames()[frame_idx].buf.as_ref().clone(),
+            image: video.get(frame_idx).expect("in range").buf.as_ref().clone(),
             mask: Mask::new(),
             tolerance: MatchTolerance::CAMERA,
             occurrence: 1,

@@ -216,7 +216,8 @@ pub fn annotate(
         let picked = suggestions[pick];
 
         // Store the image with the mask burned in.
-        let mut image = (*video.frames()[picked.frame_index as usize].buf).clone();
+        let mut image =
+            video.get(picked.frame_index).expect("suggested frames exist").buf.as_ref().clone();
         mask.apply(&mut image);
 
         // Derive the occurrence: count match-runs of the picked image from
@@ -258,17 +259,11 @@ fn count_occurrences(
     let mut occurrences = 0u32;
     let mut in_match = false;
     let compiled = mask.compile(image.width(), image.height());
-    // Still periods share one buffer allocation: remember the previous
-    // frame's pointer and verdict so a run of identical frames costs one
-    // comparison total.
-    let mut last: Option<(*const FrameBuffer, bool)> = None;
-    for frame in &video.frames()[first as usize..=through_index as usize] {
-        let key = std::sync::Arc::as_ptr(&frame.buf);
-        let matches = match last {
-            Some((prev, verdict)) if prev == key => verdict,
-            _ => tolerance.matches_compiled(&compiled, image, &frame.buf),
-        };
-        last = Some((key, matches));
+    // Every frame of a content run shares one verdict: one comparison per
+    // run.
+    for run in video.runs_in(first, through_index + 1) {
+        let matches =
+            tolerance.matches_compiled(&compiled, image, &video.slots()[run.slot as usize]);
         if matches && !in_match {
             occurrences += 1;
         }

@@ -97,6 +97,7 @@ enum OutcomeRepr {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum CauseRepr {
     DeviceNonMonotonic { prev_us: u64, time_us: u64 },
+    DeviceGeometry { expected: (u32, u32), found: (u32, u32) },
     DeviceCancelled,
     Match { interaction_id: usize, failure: MatchFailure },
     MissingVideo,
@@ -115,6 +116,10 @@ impl From<&InterlagError> for CauseRepr {
                 prev_us: prev.as_micros(),
                 time_us: time.as_micros(),
             },
+            InterlagError::Device(DeviceError::Video(VideoError::GeometryMismatch {
+                expected,
+                found,
+            })) => CauseRepr::DeviceGeometry { expected: *expected, found: *found },
             InterlagError::Device(DeviceError::Cancelled) => CauseRepr::DeviceCancelled,
             InterlagError::Match { interaction_id, failure } => {
                 CauseRepr::Match { interaction_id: *interaction_id, failure: *failure }
@@ -134,6 +139,12 @@ impl From<CauseRepr> for InterlagError {
                 InterlagError::Device(DeviceError::Video(VideoError::NonMonotonicTimestamp {
                     prev: SimTime::from_micros(prev_us),
                     time: SimTime::from_micros(time_us),
+                }))
+            }
+            CauseRepr::DeviceGeometry { expected, found } => {
+                InterlagError::Device(DeviceError::Video(VideoError::GeometryMismatch {
+                    expected,
+                    found,
                 }))
             }
             CauseRepr::DeviceCancelled => InterlagError::Device(DeviceError::Cancelled),
@@ -339,6 +350,12 @@ fn encode_cause(w: &mut W, cause: &CauseRepr) {
                 ShardFailure::Corrupt => 2,
             });
         }
+        CauseRepr::DeviceGeometry { expected, found } => {
+            w.u8(7);
+            for v in [expected.0, expected.1, found.0, found.1] {
+                w.u32(v);
+            }
+        }
     }
 }
 
@@ -411,6 +428,10 @@ fn decode_cause(r: &mut R<'_>) -> Option<CauseRepr> {
                 2 => ShardFailure::Corrupt,
                 _ => return None,
             },
+        },
+        7 => CauseRepr::DeviceGeometry {
+            expected: (r.u32()?, r.u32()?),
+            found: (r.u32()?, r.u32()?),
         },
         _ => return None,
     })

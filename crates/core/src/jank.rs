@@ -95,21 +95,22 @@ pub fn measure_jank(
     let expected_frames =
         if nominal_period.is_zero() { 0 } else { window.as_micros() / nominal_period.as_micros() };
 
-    let first = video.first_frame_at_or_after(window_start) as usize;
-    let last = video.first_frame_at_or_after(window_end) as usize;
+    let first = video.first_frame_at_or_after(window_start);
+    let last = video.first_frame_at_or_after(window_end);
 
     let mut observed = 0u64;
     let mut longest_stall = SimDuration::ZERO;
     let mut last_update = window_start;
+    // Frames inside a content run are equal, so the region can only
+    // update on a run's first frame.
     let mut prev_crop: Option<interlag_video::frame::FrameBuffer> = None;
-    for frame in &video.frames()[first..last] {
-        let crop = frame.buf.crop(animation_region);
-        if let Some(prev) = &prev_crop {
-            if crop != *prev {
-                observed += 1;
-                longest_stall = longest_stall.max(frame.time.saturating_since(last_update));
-                last_update = frame.time;
-            }
+    for run in video.runs_in(first, last) {
+        let crop = video.slots()[run.slot as usize].crop(animation_region);
+        if prev_crop.as_ref().is_some_and(|prev| crop != *prev) {
+            let time = video.times()[run.first_frame as usize];
+            observed += 1;
+            longest_stall = longest_stall.max(time.saturating_since(last_update));
+            last_update = time;
         }
         prev_crop = Some(crop);
     }

@@ -7,6 +7,11 @@
 //! The output is the lag profile — one measured lag length per
 //! interaction — with zero human involvement, which is what makes the
 //! 85-execution studies of §III affordable.
+//!
+//! A [`VideoStream`] is its own run-length encoding, so [`mark_up`] walks
+//! content runs rather than frames and judges each distinct content once
+//! per annotation and tolerance. The per-frame [`Matcher`] is kept as the
+//! reference the batched walk is tested against.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,7 +21,6 @@ use serde::{Deserialize, Serialize};
 use interlag_evdev::time::{SimDuration, SimTime};
 use interlag_journal::CancelToken;
 use interlag_obs::{Counter, Hist, Recorder, DISABLED};
-use interlag_video::arena::PackedVideo;
 use interlag_video::frame::FrameBuffer;
 use interlag_video::mask::{CompiledMask, MatchTolerance};
 use interlag_video::stream::VideoStream;
@@ -203,40 +207,9 @@ impl Matcher {
         rec: &Recorder,
         cancel: &CancelToken,
     ) -> Result<MatchedLag, MatchFailure> {
-        match self.match_at(video, input_time, annotation, annotation.tolerance, 1.0, rec, cancel) {
-            Err(MatchFailure::EndingNotFound) => {
-                for (i, step) in policy.escalation.iter().enumerate() {
-                    if cancel.is_cancelled() {
-                        return Err(MatchFailure::Cancelled);
-                    }
-                    let tolerance = MatchTolerance {
-                        value_tolerance: step
-                            .value_tolerance
-                            .max(annotation.tolerance.value_tolerance),
-                        pixel_budget: step.pixel_budget.max(annotation.tolerance.pixel_budget),
-                    };
-                    let confidence = 1.0 / (i + 2) as f64;
-                    rec.count(Counter::MatchEscalations, 1);
-                    match self
-                        .match_at(video, input_time, annotation, tolerance, confidence, rec, cancel)
-                    {
-                        Ok(m) => {
-                            rec.observe(Hist::EscalationDepth, i as u64 + 1);
-                            return Ok(m);
-                        }
-                        Err(MatchFailure::Cancelled) => return Err(MatchFailure::Cancelled),
-                        Err(_) => {}
-                    }
-                }
-                Err(MatchFailure::EndingNotFound)
-            }
-            verdict => {
-                if verdict.is_ok() {
-                    rec.observe(Hist::EscalationDepth, 0);
-                }
-                verdict
-            }
-        }
+        escalate(annotation, policy, rec, cancel, |tolerance, confidence| {
+            self.match_at(video, input_time, annotation, tolerance, confidence, rec, cancel)
+        })
     }
 
     /// The frame walk at one explicit tolerance. Walk length and
@@ -271,7 +244,7 @@ impl Matcher {
         let mut verdicts: HashMap<*const FrameBuffer, bool> = HashMap::new();
         let (mut walked, mut hit_last, mut hit_map, mut missed) = (0u64, 0u64, 0u64, 0u64);
         let result = 'walk: {
-            for frame in &video.frames()[first as usize..] {
+            for frame in video.iter_from(first) {
                 // The annotation image has its mask burned in; apply the same
                 // masking to the candidate by comparing under the mask (the
                 // mask zeroes the same pixels on both sides, and masked
@@ -280,7 +253,7 @@ impl Matcher {
                     break 'walk Err(MatchFailure::Cancelled);
                 }
                 walked += 1;
-                let key = Arc::as_ptr(&frame.buf);
+                let key = Arc::as_ptr(frame.buf);
                 let matches = match last {
                     Some((prev, verdict)) if prev == key => {
                         hit_last += 1;
@@ -293,11 +266,8 @@ impl Matcher {
                         }
                         None => {
                             missed += 1;
-                            let verdict = tolerance.matches_compiled(
-                                &compiled,
-                                &annotation.image,
-                                &frame.buf,
-                            );
+                            let verdict =
+                                tolerance.matches_compiled(&compiled, &annotation.image, frame.buf);
                             verdicts.insert(key, verdict);
                             verdict
                         }
@@ -325,6 +295,50 @@ impl Matcher {
         rec.count(Counter::VerdictCacheHitMap, hit_map);
         rec.count(Counter::VerdictCacheMiss, missed);
         result
+    }
+}
+
+/// The tolerance-escalation ladder shared by the per-lag and batched
+/// matchers: `walk` at the annotated tolerance with full confidence, then,
+/// if the ending was not found, at each step of `policy` (taken
+/// component-wise, never below the annotation's own tolerance) with
+/// confidence `1 / (step + 2)`. Escalation steps taken are counted into
+/// `rec`, and a match records the ladder depth it was found at.
+fn escalate(
+    annotation: &LagAnnotation,
+    policy: &MatchPolicy,
+    rec: &Recorder,
+    cancel: &CancelToken,
+    mut walk: impl FnMut(MatchTolerance, f64) -> Result<MatchedLag, MatchFailure>,
+) -> Result<MatchedLag, MatchFailure> {
+    match walk(annotation.tolerance, 1.0) {
+        Err(MatchFailure::EndingNotFound) => {
+            for (i, step) in policy.escalation.iter().enumerate() {
+                if cancel.is_cancelled() {
+                    return Err(MatchFailure::Cancelled);
+                }
+                let tolerance = MatchTolerance {
+                    value_tolerance: step.value_tolerance.max(annotation.tolerance.value_tolerance),
+                    pixel_budget: step.pixel_budget.max(annotation.tolerance.pixel_budget),
+                };
+                rec.count(Counter::MatchEscalations, 1);
+                match walk(tolerance, 1.0 / (i + 2) as f64) {
+                    Ok(m) => {
+                        rec.observe(Hist::EscalationDepth, i as u64 + 1);
+                        return Ok(m);
+                    }
+                    Err(MatchFailure::Cancelled) => return Err(MatchFailure::Cancelled),
+                    Err(_) => {}
+                }
+            }
+            Err(MatchFailure::EndingNotFound)
+        }
+        verdict => {
+            if verdict.is_ok() {
+                rec.observe(Hist::EscalationDepth, 0);
+            }
+            verdict
+        }
     }
 }
 
@@ -378,11 +392,10 @@ pub fn mark_up_with_policy_observed(
 /// to discard the repetition, so finishing the markup would only delay the
 /// cancellation it asked for.
 ///
-/// All lags of the call share one [`BatchMatcher`]: the video is packed in
-/// a single forward walk and every lag is resolved against the packed
-/// runs, so frame contents are compared at most once per (interaction,
-/// tolerance) no matter how many lags or escalation retries walk past
-/// them. Results are bit-identical to matching each lag separately with
+/// All lags of the call share one [`BatchMatcher`]: every lag is resolved
+/// against the stream's content runs, so frame contents are compared at
+/// most once per (interaction, tolerance) no matter how many lags or
+/// escalation retries walk past them. Results are bit-identical to matching each lag separately with
 /// [`Matcher::match_lag_cancellable`].
 pub fn mark_up_cancellable(
     video: &VideoStream,
@@ -426,14 +439,12 @@ pub fn mark_up_cancellable(
 ///
 /// The per-lag [`Matcher`] walks the video frame by frame for every lag,
 /// re-judging content it has already seen on earlier lags. The batch
-/// engine instead packs the stream once — one forward walk deduplicating
-/// every frame content into a [`FrameArena`](interlag_video::FrameArena)
-/// and run-length encoding the sequence — and then resolves each lag by
-/// walking the content *runs*: O(distinct contents) comparisons and
-/// O(runs) verdict lookups per lag, instead of O(frames) pointer chases.
-/// Verdicts are memoised per arena slot in dense vectors keyed by
-/// (interaction, effective tolerance), so escalation retries and repeated
-/// interactions reuse every verdict already computed.
+/// engine instead walks the stream's content *runs*
+/// ([`VideoStream::runs`]): O(distinct contents) comparisons and O(runs)
+/// verdict lookups per lag, instead of O(frames) pointer chases. Verdicts
+/// are memoised per content slot in dense vectors keyed by (interaction,
+/// effective tolerance), so escalation retries and repeated interactions
+/// reuse every verdict already computed.
 ///
 /// Matching semantics are exactly the per-lag matcher's: a run of
 /// consecutive matching frames is one occurrence, the walk starts at the
@@ -442,27 +453,22 @@ pub fn mark_up_cancellable(
 /// mid-run).
 struct BatchMatcher<'a> {
     video: &'a VideoStream,
-    packed: PackedVideo,
     /// Compiled masks, one per annotated interaction.
     compiled: HashMap<usize, CompiledMask>,
     /// Slot verdicts per (interaction id, value tolerance, pixel budget):
-    /// dense over arena slots so a lookup is an index, not a hash.
+    /// dense over the stream's content slots so a lookup is an index, not
+    /// a hash.
     verdicts: HashMap<(usize, u8, u64), Vec<Option<bool>>>,
 }
 
 impl<'a> BatchMatcher<'a> {
-    /// Packs the video (the one forward walk) and readies empty caches.
+    /// Readies empty caches over `video`.
     fn new(video: &'a VideoStream) -> Self {
-        BatchMatcher {
-            video,
-            packed: PackedVideo::pack(video),
-            compiled: HashMap::new(),
-            verdicts: HashMap::new(),
-        }
+        BatchMatcher { video, compiled: HashMap::new(), verdicts: HashMap::new() }
     }
 
-    /// [`Matcher::match_lag_cancellable`], resolved against the packed
-    /// runs: identical escalation ladder, confidence and telemetry.
+    /// [`Matcher::match_lag_cancellable`], resolved against the content
+    /// runs: the same escalation ladder, confidence and telemetry.
     fn match_lag(
         &mut self,
         input_time: SimTime,
@@ -471,38 +477,9 @@ impl<'a> BatchMatcher<'a> {
         rec: &Recorder,
         cancel: &CancelToken,
     ) -> Result<MatchedLag, MatchFailure> {
-        match self.walk(input_time, annotation, annotation.tolerance, 1.0, rec, cancel) {
-            Err(MatchFailure::EndingNotFound) => {
-                for (i, step) in policy.escalation.iter().enumerate() {
-                    if cancel.is_cancelled() {
-                        return Err(MatchFailure::Cancelled);
-                    }
-                    let tolerance = MatchTolerance {
-                        value_tolerance: step
-                            .value_tolerance
-                            .max(annotation.tolerance.value_tolerance),
-                        pixel_budget: step.pixel_budget.max(annotation.tolerance.pixel_budget),
-                    };
-                    let confidence = 1.0 / (i + 2) as f64;
-                    rec.count(Counter::MatchEscalations, 1);
-                    match self.walk(input_time, annotation, tolerance, confidence, rec, cancel) {
-                        Ok(m) => {
-                            rec.observe(Hist::EscalationDepth, i as u64 + 1);
-                            return Ok(m);
-                        }
-                        Err(MatchFailure::Cancelled) => return Err(MatchFailure::Cancelled),
-                        Err(_) => {}
-                    }
-                }
-                Err(MatchFailure::EndingNotFound)
-            }
-            verdict => {
-                if verdict.is_ok() {
-                    rec.observe(Hist::EscalationDepth, 0);
-                }
-                verdict
-            }
-        }
+        escalate(annotation, policy, rec, cancel, |tolerance, confidence| {
+            self.walk(input_time, annotation, tolerance, confidence, rec, cancel)
+        })
     }
 
     /// The run walk at one explicit tolerance — the batched analogue of
@@ -520,27 +497,25 @@ impl<'a> BatchMatcher<'a> {
         rec: &Recorder,
         cancel: &CancelToken,
     ) -> Result<MatchedLag, MatchFailure> {
-        let first = self.video.first_frame_at_or_after(input_time);
+        let video = self.video;
+        let first = video.first_frame_at_or_after(input_time);
         let mut remaining = annotation.occurrence.max(1);
         let mut in_match = false;
         let compiled = self.compiled.entry(annotation.interaction_id).or_insert_with(|| {
             annotation.mask.compile(annotation.image.width(), annotation.image.height())
         });
-        let arena = self.packed.arena();
         let cache = self
             .verdicts
             .entry((annotation.interaction_id, tolerance.value_tolerance, tolerance.pixel_budget))
-            .or_insert_with(|| vec![None; arena.len()]);
+            .or_insert_with(|| vec![None; video.slots().len()]);
         let (mut walked, mut hit_last, mut hit_map, mut missed) = (0u64, 0u64, 0u64, 0u64);
         let result = 'walk: {
-            for run in &self.packed.runs()[self.packed.run_of_frame(first)..] {
+            for run in video.runs_in(first, video.len() as u32) {
                 // One poll per run bounds cancellation latency at one
                 // frame comparison, tighter than the per-frame stride.
                 if cancel.is_cancelled() {
                     break 'walk Err(MatchFailure::Cancelled);
                 }
-                let overlap_first = run.first_frame.max(first);
-                let overlap_len = (run.first_frame + run.len - overlap_first) as u64;
                 let matches = match cache[run.slot as usize] {
                     Some(verdict) => {
                         hit_map += 1;
@@ -548,11 +523,12 @@ impl<'a> BatchMatcher<'a> {
                     }
                     None => {
                         missed += 1;
+                        let slot = &video.slots()[run.slot as usize];
                         let verdict = tolerance.matches_pixels(
                             compiled,
                             &annotation.image,
-                            arena.pixels(run.slot),
-                            arena.digest(run.slot),
+                            slot.pixels(),
+                            slot.digest(),
                         );
                         cache[run.slot as usize] = Some(verdict);
                         verdict
@@ -562,18 +538,18 @@ impl<'a> BatchMatcher<'a> {
                     remaining -= 1;
                     if remaining == 0 {
                         walked += 1;
-                        let frame = &self.video.frames()[overlap_first as usize];
+                        let end_time = video.times()[run.first_frame as usize];
                         break 'walk Ok(MatchedLag {
                             interaction_id: annotation.interaction_id,
-                            end_frame: frame.index,
-                            end_time: frame.time,
-                            lag: frame.time.saturating_since(input_time),
+                            end_frame: run.first_frame,
+                            end_time,
+                            lag: end_time.saturating_since(input_time),
                             confidence,
                         });
                     }
                 }
-                walked += overlap_len;
-                hit_last += overlap_len - 1;
+                walked += run.len as u64;
+                hit_last += run.len as u64 - 1;
                 in_match = matches;
             }
             Err(MatchFailure::EndingNotFound)

@@ -8,8 +8,10 @@
 //! still-standing period. Blinking cursors and small animations are
 //! handled exactly as the paper describes: a per-lag pixel tolerance, an
 //! image mask, and a configurable minimum still-period length.
-
-use std::sync::Arc;
+//!
+//! The zeros come for free: a [`VideoStream`] is its own run-length
+//! encoding, every frame inside a content run equals its predecessor, and
+//! only run boundaries are compared under the mask and tolerance.
 
 use serde::{Deserialize, Serialize};
 
@@ -94,28 +96,28 @@ impl Suggester {
         from_index: u32,
         to_index: u32,
     ) -> Vec<bool> {
-        let frames = video.frames();
-        let to = (to_index as usize).min(frames.len());
-        let from = (from_index as usize).min(to);
-        let mut out = Vec::with_capacity(to - from);
-        if from >= to {
-            return out;
-        }
-        // One mask compilation serves the whole window (frames of one
-        // capture share dimensions, as the naive comparison also assumes).
-        let compiled =
-            self.config.mask.compile(frames[from].buf.width(), frames[from].buf.height());
-        for i in from..to {
-            if i == 0 {
-                out.push(false);
-                continue;
+        let to = to_index.min(video.len() as u32);
+        let from = from_index.min(to);
+        let mut out = vec![false; (to - from) as usize];
+        let Some(first) = video.slots().first() else { return out };
+        // One mask compilation serves the whole window: a stream has one
+        // geometry.
+        let compiled = self.config.mask.compile(first.width(), first.height());
+        let (runs, slots) = (video.runs(), video.slots());
+        // Frames inside a run equal their predecessor under every
+        // tolerance, and the video's first frame has none: only the first
+        // frame of every later run is compared, against the run before.
+        for k in video.run_of_frame(from).max(1)..runs.len() {
+            let start = runs[k].first_frame;
+            if start >= to {
+                break;
             }
-            let (prev, cur) = (&frames[i - 1].buf, &frames[i].buf);
-            // Still periods reuse one allocation: pointer-identical frames
-            // are equal under every tolerance, no pixels needed.
-            let changed = !Arc::ptr_eq(prev, cur)
-                && !self.config.tolerance.matches_compiled(&compiled, prev, cur);
-            out.push(changed);
+            if start >= from {
+                let (prev, cur) =
+                    (&slots[runs[k - 1].slot as usize], &slots[runs[k].slot as usize]);
+                out[(start - from) as usize] =
+                    !self.config.tolerance.matches_compiled(&compiled, prev, cur);
+            }
         }
         out
     }
@@ -151,7 +153,7 @@ impl Suggester {
                 let clipped = j == changes.len();
                 if run >= min_run || (clipped && run > 0) || (clipped && i + 1 == changes.len()) {
                     let idx = first + i as u32;
-                    let time = video.frames()[idx as usize].time;
+                    let time = video.times()[idx as usize];
                     out.push(Suggestion { frame_index: idx, time, still_run: run });
                 }
                 i = j;
@@ -260,7 +262,7 @@ mod tests {
         let mut f = (*base).clone();
         f.fill_rect(Rect::new(0, 0, 16, 2), 99);
         v.push(SimTime::from_micros(33_333), Arc::new(f)).unwrap();
-        v.push(SimTime::from_micros(66_666), v.frames()[1].buf.clone()).unwrap();
+        v.push(SimTime::from_micros(66_666), v.get(1).unwrap().buf.clone()).unwrap();
 
         let unmasked = Suggester::default();
         assert_eq!(unmasked.suggest(&v, SimTime::ZERO, SimTime::from_secs(1)).len(), 1);

@@ -15,6 +15,7 @@ use interlag_core::profile::{LagEntry, LagProfile};
 use interlag_device::DeviceError;
 use interlag_evdev::time::{SimDuration, SimTime};
 use interlag_journal::{decode_records, encode_record_binary};
+use interlag_video::manifest::{ManifestDefect, ManifestError};
 use interlag_video::stream::VideoError;
 use proptest::prelude::*;
 
@@ -86,6 +87,12 @@ fn cause() -> impl Strategy<Value = InterlagError> {
                 time: SimTime::from_micros(time_us),
             }))
         }),
+        (1u32..4096, 1u32..4096, 1u32..4096, 1u32..4096).prop_map(|(ew, eh, w, h)| {
+            InterlagError::Device(DeviceError::Video(VideoError::GeometryMismatch {
+                expected: (ew, eh),
+                found: (w, h),
+            }))
+        }),
         Just(InterlagError::Device(DeviceError::Cancelled)),
         (0usize..500, match_failure)
             .prop_map(|(interaction_id, failure)| InterlagError::Match { interaction_id, failure }),
@@ -93,6 +100,12 @@ fn cause() -> impl Strategy<Value = InterlagError> {
         Just(InterlagError::Timeout),
         (0usize..1_000_000)
             .prop_map(|offset| InterlagError::Dataset(DatasetError::BadUtf8 { offset })),
+        (1usize..1_000, 1u32..64, 1u32..64).prop_map(|(line, w, h)| {
+            InterlagError::Dataset(DatasetError::Manifest(ManifestError {
+                line,
+                defect: ManifestDefect::GeometryMismatch { expected: (w, h), found: (h, w + 1) },
+            }))
+        }),
     ]
 }
 

@@ -206,6 +206,43 @@ proptest! {
         }
     }
 
+    /// The change sequence, computed from run boundaries only, marks
+    /// exactly the frames a per-frame walk finds different from their
+    /// predecessor — over any window, with recurring content and a
+    /// near-copy (symbol 6: symbol 0 with one pixel changed) that a
+    /// one-pixel budget hides.
+    #[test]
+    fn change_sequence_agrees_with_a_per_frame_walk(
+        symbols in prop::collection::vec(0u8..7, 1..40),
+        window in (0u32..45, 0u32..45),
+        pixel_budget in 0u64..2,
+    ) {
+        let mut video = VideoStream::new(FRAME_PERIOD_30FPS);
+        for (i, &s) in symbols.iter().enumerate() {
+            let frame = if s == 6 {
+                let mut f = (*frame_of(0)).clone();
+                f.set(3, 3, f.get(3, 3) ^ 0x40);
+                Arc::new(f)
+            } else {
+                frame_of(s)
+            };
+            video.push(SimTime::from_micros(i as u64 * 33_333), frame).unwrap();
+        }
+        let tolerance = MatchTolerance { value_tolerance: 0, pixel_budget };
+        let suggester = Suggester::new(SuggesterConfig { tolerance, ..Default::default() });
+        let compiled = Mask::new().compile(16, 16);
+        let (from, to) = (window.0.min(window.1), window.0.max(window.1));
+        let naive: Vec<bool> = (from..to.min(video.len() as u32))
+            .map(|i| {
+                i > 0 && {
+                    let (prev, cur) = (video.get(i - 1).unwrap(), video.get(i).unwrap());
+                    !tolerance.matches_compiled(&compiled, prev.buf, cur.buf)
+                }
+            })
+            .collect();
+        prop_assert_eq!(suggester.change_sequence(&video, from, to), naive);
+    }
+
     /// The compiled mask and the digest-gated/early-exit comparison paths
     /// must agree exactly with the naive per-pixel reference
     /// (`Mask::count_diff`) on arbitrary frames, masks and tolerances —

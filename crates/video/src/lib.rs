@@ -10,31 +10,35 @@
 //!   rectangle arithmetic;
 //! * [`mask`] — excluded-region masks and match tolerances (clock,
 //!   advertisements, blinking cursors — Figure 8 of the paper);
-//! * [`stream`] — timed frame sequences with identical-frame sharing;
+//! * [`stream`] — timed frame sequences, run-length encoded by content;
 //! * [`capture`] — the lossless HDMI path and a noisy camera model.
 //!
 //! # Examples
 //!
-//! Record a changing screen and check that the mask hides the clock:
+//! Capture a changing screen over HDMI and check that the mask hides the
+//! clock:
 //!
 //! ```
 //! use interlag_evdev::time::SimTime;
-//! use interlag_video::capture::{CaptureLink, HdmiCapture, VideoRecorder};
+//! use interlag_video::capture::{CaptureLink, HdmiCapture};
 //! use interlag_video::frame::{FrameBuffer, Rect};
 //! use interlag_video::mask::{Mask, MatchTolerance};
-//! use interlag_video::stream::FRAME_PERIOD_30FPS;
+//! use interlag_video::stream::{VideoStream, FRAME_PERIOD_30FPS};
 //!
-//! let mut rec = VideoRecorder::new(HdmiCapture::new(), FRAME_PERIOD_30FPS);
+//! let mut link = HdmiCapture::new();
+//! let mut video = VideoStream::new(FRAME_PERIOD_30FPS);
 //! let mut screen = FrameBuffer::new(64, 96);
-//! for ms in (0..2_000u64).step_by(10) {
-//!     // The top row is a clock that redraws every second.
-//!     screen.fill_rect(Rect::new(0, 0, 64, 4), (ms / 1_000) as u8 + 10);
-//!     rec.poll(SimTime::from_millis(ms), &screen).unwrap();
+//! for i in 0..60u64 {
+//!     let t = SimTime::ZERO + FRAME_PERIOD_30FPS * i;
+//!     // The top rows are a clock that redraws every second.
+//!     screen.fill_rect(Rect::new(0, 0, 64, 4), (t.as_micros() / 1_000_000) as u8 + 10);
+//!     video.push(t, link.capture(t, &screen)).unwrap();
 //! }
-//! let video = rec.into_stream();
+//! // Two seconds of a still screen whose clock ticked once: two runs.
+//! assert_eq!(video.runs().len(), 2);
 //! let mask = Mask::status_bar(64, 4);
-//! let first = &video.frames()[0].buf;
-//! let last = &video.frames().last().unwrap().buf;
+//! let first = video.get(0).unwrap().buf;
+//! let last = video.iter().last().unwrap().buf;
 //! assert!(MatchTolerance::EXACT.matches(&mask, first, last));
 //! assert!(!MatchTolerance::EXACT.matches(&Mask::new(), first, last));
 //! ```
@@ -42,7 +46,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod arena;
 pub mod capture;
 pub mod frame;
 pub mod kernel;
@@ -50,8 +53,7 @@ pub mod manifest;
 pub mod mask;
 pub mod stream;
 
-pub use arena::{FrameArena, FrameRun, PackedVideo};
 pub use frame::{FrameBuffer, Rect};
 pub use manifest::{parse_manifest, parse_manifest_salvage, ManifestDefect, ManifestError};
 pub use mask::{Mask, MatchTolerance};
-pub use stream::{VideoError, VideoFrame, VideoStream, FRAME_PERIOD_30FPS};
+pub use stream::{FrameRun, VideoError, VideoFrame, VideoStream, FRAME_PERIOD_30FPS};

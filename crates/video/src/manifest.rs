@@ -22,8 +22,8 @@
 //!
 //! `frame <id> <w>x<h> <seed>` declares a frame rendered deterministically
 //! from its seed; `at <time_us> <id>` schedules a presentation of it.
-//! Presentations must be strictly monotonic and may only reference
-//! declared frames.
+//! Presentations must be strictly monotonic, may only reference declared
+//! frames, and must all present frames of one geometry.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use interlag_evdev::time::{SimDuration, SimTime};
 
 use crate::frame::FrameBuffer;
-use crate::stream::VideoStream;
+use crate::stream::{VideoError, VideoStream};
 
 /// The header every manifest must start with.
 pub const MANIFEST_HEADER: &str = "interlag-video-manifest v1";
@@ -54,6 +54,14 @@ pub enum ManifestDefect {
     MissingFrame(String),
     /// An `at` timestamp was at or before its predecessor.
     NonMonotonicTimestamp,
+    /// An `at` directive presented a frame whose dimensions differ from
+    /// the stream's first frame; a capture has one geometry.
+    GeometryMismatch {
+        /// `(width, height)` of the stream's frames.
+        expected: (u32, u32),
+        /// `(width, height)` of the presented frame.
+        found: (u32, u32),
+    },
 }
 
 impl fmt::Display for ManifestDefect {
@@ -69,6 +77,9 @@ impl fmt::Display for ManifestDefect {
             }
             ManifestDefect::NonMonotonicTimestamp => {
                 write!(f, "presentation timestamps must be strictly increasing")
+            }
+            ManifestDefect::GeometryMismatch { expected: (ew, eh), found: (w, h) } => {
+                write!(f, "frame is {w}x{h} but the stream's frames are {ew}x{eh}")
             }
         }
     }
@@ -144,38 +155,31 @@ fn parse_inner(
 
     let mut frames: BTreeMap<String, Arc<FrameBuffer>> = BTreeMap::new();
     let mut stream = VideoStream::new(SimDuration::from_micros(period));
-    let mut last_time: Option<SimTime> = None;
     let mut dropped = Vec::new();
 
     for (idx, raw_line) in lines {
-        let line_no = idx + 1;
         let line = raw_line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match parse_directive(line, &mut frames, &mut last_time) {
-            Ok(Some((time, buf))) => {
-                // `last_time` already enforced monotonicity, so this
-                // cannot fail; keep the error path anyway.
-                if stream.push(time, buf).is_err() {
-                    let err = ManifestError {
-                        line: line_no,
-                        defect: ManifestDefect::NonMonotonicTimestamp,
-                    };
-                    if strict {
-                        return Err(err);
-                    }
-                    dropped.push(err);
+        // The stream enforces the presentation invariants (strictly
+        // increasing times, one geometry) and is left unchanged by a
+        // rejected push.
+        let pushed = parse_directive(line, &mut frames).and_then(|presentation| {
+            let Some((time, buf)) = presentation else { return Ok(()) };
+            stream.push(time, buf).map_err(|e| match e {
+                VideoError::NonMonotonicTimestamp { .. } => ManifestDefect::NonMonotonicTimestamp,
+                VideoError::GeometryMismatch { expected, found } => {
+                    ManifestDefect::GeometryMismatch { expected, found }
                 }
+            })
+        });
+        if let Err(defect) = pushed {
+            let err = ManifestError { line: idx + 1, defect };
+            if strict {
+                return Err(err);
             }
-            Ok(None) => {}
-            Err(defect) => {
-                let err = ManifestError { line: line_no, defect };
-                if strict {
-                    return Err(err);
-                }
-                dropped.push(err);
-            }
+            dropped.push(err);
         }
     }
     Ok((stream, dropped))
@@ -186,7 +190,6 @@ fn parse_inner(
 fn parse_directive(
     line: &str,
     frames: &mut BTreeMap<String, Arc<FrameBuffer>>,
-    last_time: &mut Option<SimTime>,
 ) -> Result<Option<(SimTime, Arc<FrameBuffer>)>, ManifestDefect> {
     let mut fields = line.split_whitespace();
     match fields.next() {
@@ -232,40 +235,33 @@ fn parse_directive(
                 return Err(ManifestDefect::BadField("at: trailing fields".into()));
             }
             let buf = frames.get(id).ok_or_else(|| ManifestDefect::MissingFrame(id.to_string()))?;
-            let time = SimTime::from_micros(time);
-            if last_time.is_some_and(|prev| time <= prev) {
-                return Err(ManifestDefect::NonMonotonicTimestamp);
-            }
-            *last_time = Some(time);
-            Ok(Some((time, buf.clone())))
+            Ok(Some((SimTime::from_micros(time), buf.clone())))
         }
         Some(other) => Err(ManifestDefect::UnknownDirective(other.to_string())),
         None => Ok(None),
     }
 }
 
-/// Serialises a stream to manifest text, deduplicating identical frames by
-/// their digest. Round-trips through [`parse_manifest`] up to timing and
-/// frame-identity structure: presentation times and which presentations
-/// share a frame are preserved exactly, while pixel content is re-rendered
-/// deterministically from the digest used as a seed.
+/// Serialises a stream to manifest text: one `frame` per distinct content
+/// ([`VideoStream::slots`]), one `at` per frame. Round-trips through
+/// [`parse_manifest`] up to timing and frame-identity structure:
+/// presentation times and which presentations share a frame are preserved
+/// exactly, while pixel content is re-rendered deterministically from the
+/// content digest used as a seed.
 pub fn to_manifest_text(stream: &VideoStream) -> String {
     let mut out = format!("{MANIFEST_HEADER}\nperiod_us {}\n", stream.frame_period().as_micros());
-    let mut declared: BTreeMap<u64, String> = BTreeMap::new();
-    for frame in stream.frames() {
-        let digest = frame.buf.digest();
-        if !declared.contains_key(&digest) {
-            let id = format!("f{}", declared.len());
-            out.push_str(&format!(
-                "frame {id} {}x{} {digest:016x}\n",
-                frame.buf.width(),
-                frame.buf.height()
-            ));
-            declared.insert(digest, id);
-        }
+    for (slot, buf) in stream.slots().iter().enumerate() {
+        out.push_str(&format!(
+            "frame f{slot} {}x{} {:016x}\n",
+            buf.width(),
+            buf.height(),
+            buf.digest()
+        ));
     }
-    for frame in stream.frames() {
-        out.push_str(&format!("at {} {}\n", frame.time.as_micros(), declared[&frame.buf.digest()]));
+    for run in stream.runs() {
+        for time in &stream.times()[run.first_frame as usize..run.end() as usize] {
+            out.push_str(&format!("at {} f{}\n", time.as_micros(), run.slot));
+        }
     }
     out
 }
@@ -283,8 +279,27 @@ mod tests {
         let stream = parse_manifest(GOOD).unwrap();
         assert_eq!(stream.len(), 3);
         assert_eq!(stream.frame_period(), SimDuration::from_micros(33_333));
-        assert_eq!(stream.unique_frames(), 2);
-        assert_eq!(stream.frames()[2].time, SimTime::from_micros(66_666));
+        assert_eq!(stream.slots().len(), 2);
+        assert_eq!(stream.get(2).unwrap().time, SimTime::from_micros(66_666));
+    }
+
+    /// A valid manifest whose frames disagree on geometry: the second
+    /// presentation is a typed defect on its line, never a panic.
+    const MIXED_GEOMETRY: &str = "interlag-video-manifest v1\nperiod_us 33333\n\
+        frame a 8x8 1\nframe b 16x4 2\nat 0 a\nat 33333 b\n";
+
+    #[test]
+    fn mixed_geometry_is_a_defect_on_its_line() {
+        let geometry = ManifestDefect::GeometryMismatch { expected: (8, 8), found: (16, 4) };
+        let err = parse_manifest(MIXED_GEOMETRY).unwrap_err();
+        assert_eq!(err, ManifestError { line: 6, defect: geometry.clone() });
+        assert_eq!(
+            err.to_string(),
+            "manifest line 6: frame is 16x4 but the stream's frames are 8x8"
+        );
+        let salvaged = parse_manifest_salvage(MIXED_GEOMETRY).unwrap();
+        assert_eq!(salvaged.stream.len(), 1, "the 8x8 presentation survives");
+        assert_eq!(salvaged.dropped, vec![ManifestError { line: 6, defect: geometry }]);
     }
 
     #[test]
@@ -343,13 +358,10 @@ mod tests {
         let text = to_manifest_text(&stream);
         let again = parse_manifest(&text).unwrap();
         assert_eq!(again.len(), stream.len());
-        assert_eq!(again.unique_frames(), stream.unique_frames());
+        assert_eq!(again.slots().len(), stream.slots().len());
         assert_eq!(again.frame_period(), stream.frame_period());
-        for (x, y) in again.frames().iter().zip(stream.frames()) {
-            assert_eq!(x.time, y.time);
-        }
+        assert_eq!(again.times(), stream.times());
         // Presentations sharing pixels before still share after.
-        assert_eq!(again.frames()[0].buf.digest(), again.frames()[1].buf.digest());
-        assert_ne!(again.frames()[0].buf.digest(), again.frames()[2].buf.digest());
+        assert_eq!(again.runs(), stream.runs());
     }
 }

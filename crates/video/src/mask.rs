@@ -253,9 +253,7 @@ impl CompiledMask {
         self.count_diff_pixels(a.pixels(), b.pixels(), value_tolerance)
     }
 
-    /// [`CompiledMask::count_diff`] over raw row-major pixel slices — the
-    /// form arena-backed matching uses, where the candidate frame is a
-    /// slice of one big allocation rather than a [`FrameBuffer`]. Each
+    /// [`CompiledMask::count_diff`] over raw row-major pixel slices. Each
     /// included span runs through the word kernels ([`crate::kernel`]).
     ///
     /// # Panics
@@ -411,11 +409,11 @@ impl MatchTolerance {
     }
 
     /// [`MatchTolerance::matches_compiled`] where the candidate is a raw
-    /// pixel slice with a precomputed content digest — the arena-backed
-    /// matcher compares annotation images against
-    /// [`FrameArena`](crate::arena::FrameArena) slots without ever
-    /// materialising a `FrameBuffer`. Agrees exactly with
-    /// `matches_compiled` on the same content.
+    /// pixel slice with a precomputed content digest — the form the
+    /// batched matcher uses on a stream's content slots
+    /// ([`VideoStream::slots`](crate::stream::VideoStream::slots)), whose
+    /// digests are cached. Agrees exactly with `matches_compiled` on the
+    /// same content.
     ///
     /// # Panics
     ///

@@ -5,7 +5,6 @@
 
 use proptest::prelude::*;
 
-use interlag_video::arena::FrameArena;
 use interlag_video::frame::{FrameBuffer, Rect};
 use interlag_video::kernel;
 use interlag_video::mask::{Mask, MatchTolerance};
@@ -102,8 +101,9 @@ proptest! {
         }
     }
 
-    /// The arena-slot matching path gives the same verdicts as frame
-    /// matching for the same content, across tolerance shapes.
+    /// The pixel-slice matching path (the batched matcher's, on stream
+    /// slots) gives the same verdicts as frame matching for the same
+    /// content, across tolerance shapes.
     #[test]
     fn matches_pixels_agrees_with_matches_compiled(
         (a, b) in arb_frame_pair(),
@@ -113,14 +113,12 @@ proptest! {
     ) {
         let mask: Mask = rects.into_iter().collect();
         let cm = mask.compile(a.width(), a.height());
-        let mut arena = FrameArena::new(b.width(), b.height());
-        let slot = arena.push(&b);
         for tolerance in [
             MatchTolerance { value_tolerance: tol, pixel_budget: budget },
             MatchTolerance::EXACT,
         ] {
             prop_assert_eq!(
-                tolerance.matches_pixels(&cm, &a, arena.pixels(slot), arena.digest(slot)),
+                tolerance.matches_pixels(&cm, &a, b.pixels(), b.digest()),
                 tolerance.matches_compiled(&cm, &a, &b)
             );
         }

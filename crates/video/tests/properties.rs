@@ -1,15 +1,16 @@
 //! Property-based tests of the imaging layer: masked comparison bounds,
-//! recorder pacing and capture-path guarantees.
+//! the run-length stream against a naive frame list, and capture-path
+//! guarantees.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use interlag_evdev::time::{SimDuration, SimTime};
-use interlag_video::capture::{CameraCapture, CaptureLink, HdmiCapture, VideoRecorder};
+use interlag_video::capture::{CameraCapture, CaptureLink, HdmiCapture};
 use interlag_video::frame::{FrameBuffer, Rect};
 use interlag_video::mask::{Mask, MatchTolerance};
-use interlag_video::stream::FRAME_PERIOD_30FPS;
+use interlag_video::stream::{VideoError, VideoStream, FRAME_PERIOD_30FPS};
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
     (0u32..24, 0u32..24, 1u32..9, 1u32..9).prop_map(|(x, y, w, h)| Rect::new(x, y, w, h))
@@ -66,28 +67,104 @@ proptest! {
         prop_assert!(MatchTolerance::EXACT.matches(&mask, &base, &inside));
     }
 
-    /// The recorder produces frames on the exact capture grid regardless
-    /// of the polling cadence.
+    /// The run-length stream behaves exactly like a plain list of timed
+    /// frames, whatever mix of pointer repeats, equal content in fresh
+    /// allocations, recurring content and irregular timestamps it is fed;
+    /// its runs are maximal and it keeps one slot per distinct content.
     #[test]
-    fn recorder_frames_are_on_the_grid(step_us in 200u64..5_000, span_ms in 100u64..2_000) {
-        let mut rec = VideoRecorder::new(HdmiCapture::new(), FRAME_PERIOD_30FPS);
-        let screen = FrameBuffer::new(8, 8);
+    fn stream_matches_a_naive_frame_list(
+        ops in prop::collection::vec((0u64..3, 0u8..3, 0u8..4), 0..40),
+    ) {
+        let content = |c: u8| {
+            let mut f = FrameBuffer::new(8, 8);
+            f.hash_paint(f.bounds(), c as u64);
+            Arc::new(f)
+        };
+        let mut video = VideoStream::new(FRAME_PERIOD_30FPS);
+        let mut naive: Vec<(SimTime, Arc<FrameBuffer>)> = Vec::new();
         let mut t = SimTime::ZERO;
-        let end = SimTime::from_millis(span_ms);
-        while t <= end {
-            rec.poll(t, &screen).unwrap();
-            t += SimDuration::from_micros(step_us);
+        for &(gap, kind, c) in &ops {
+            // Gaps of 0, 1 µs or several frame periods; 0 re-stamps the
+            // previous instant, which the stream must refuse untouched.
+            t += SimDuration::from_micros([0, 1, 70_001][gap as usize]);
+            let buf = match kind {
+                // The previous frame's pointer again (a still period).
+                0 => naive.last().map_or_else(|| content(c), |(_, b)| b.clone()),
+                // An earlier pointer of this content (A B A).
+                1 => naive
+                    .iter()
+                    .find(|(_, b)| b.as_ref() == content(c).as_ref())
+                    .map_or_else(|| content(c), |(_, b)| b.clone()),
+                // Equal content in a fresh allocation.
+                _ => content(c),
+            };
+            match naive.last() {
+                Some(&(prev, _)) if t <= prev => {
+                    let before = (video.len(), video.runs().len(), video.slots().len());
+                    prop_assert_eq!(
+                        video.push(t, buf),
+                        Err(VideoError::NonMonotonicTimestamp { prev, time: t })
+                    );
+                    prop_assert_eq!(
+                        (video.len(), video.runs().len(), video.slots().len()),
+                        before
+                    );
+                }
+                _ => {
+                    video.push(t, buf.clone()).unwrap();
+                    naive.push((t, buf));
+                }
+            }
         }
-        let video = rec.into_stream();
-        // Frames due up to the last poll instant must all be present (the
-        // final boundary may fall between the last poll and `end`).
-        let expected = (span_ms * 1_000).saturating_sub(step_us) / 33_333 + 1;
-        prop_assert!(video.len() as u64 >= expected);
-        for f in video.iter() {
-            prop_assert_eq!(f.time.as_micros() % 33_333, 0);
+
+        prop_assert_eq!(video.len(), naive.len());
+        prop_assert_eq!(video.iter().len(), naive.len());
+        for (i, (f, (time, buf))) in video.iter().zip(&naive).enumerate() {
+            let got = video.get(i as u32).unwrap();
+            prop_assert_eq!((got.index, got.time), (i as u32, *time));
+            prop_assert_eq!((f.index, f.time), (i as u32, *time));
+            prop_assert!(got.buf.as_ref() == buf.as_ref() && f.buf.as_ref() == buf.as_ref());
         }
-        // Identical stills share one allocation.
-        prop_assert_eq!(video.unique_frames(), 1);
+        prop_assert!(video.get(naive.len() as u32).is_none());
+
+        // Lookups by time, probed on, just before and just after every
+        // presentation.
+        let mut probes = vec![SimTime::ZERO, t + SimDuration::from_secs(1)];
+        for (time, _) in &naive {
+            probes.push(*time);
+            probes.push(*time + SimDuration::from_micros(1));
+            probes.push(SimTime::from_micros(time.as_micros().saturating_sub(1)));
+        }
+        for probe in probes {
+            let shown = naive.iter().rposition(|(time, _)| *time <= probe);
+            prop_assert_eq!(video.frame_at(probe).map(|f| f.index as usize), shown);
+            let next = naive.iter().filter(|(time, _)| *time < probe).count();
+            prop_assert_eq!(video.first_frame_at_or_after(probe) as usize, next);
+        }
+
+        // Runs tile the frames, each run holds one content, neighbouring
+        // runs differ (maximality), and slots are pairwise distinct.
+        let mut next = 0u32;
+        for (r, run) in video.runs().iter().enumerate() {
+            prop_assert_eq!(run.first_frame, next);
+            prop_assert!(run.len > 0);
+            next = run.end();
+            let slot = video.slots()[run.slot as usize].as_ref();
+            for (_, buf) in &naive[run.first_frame as usize..next as usize] {
+                prop_assert!(buf.as_ref() == slot);
+            }
+            if r > 0 {
+                prop_assert_ne!(video.runs()[r - 1].slot, run.slot);
+            }
+        }
+        prop_assert_eq!(next as usize, naive.len());
+        let slots = video.slots();
+        for (i, a) in slots.iter().enumerate() {
+            prop_assert!(video.runs().iter().any(|r| r.slot as usize == i));
+            for b in &slots[i + 1..] {
+                prop_assert!(a.as_ref() != b.as_ref());
+            }
+        }
     }
 
     /// Camera capture noise stays within its configured bound, so the
