@@ -41,7 +41,7 @@ use interlag_evdev::time::{SimDuration, SimTime};
 use interlag_journal::CancelToken;
 use interlag_power::energy::{ActivitySample, ActivityTrace};
 use interlag_power::opp::{Frequency, OppTable};
-use interlag_video::capture::{CameraCapture, CaptureLink};
+use interlag_video::capture::{capture_due, CameraCapture, CaptureLink};
 use interlag_video::frame::FrameBuffer;
 use interlag_video::stream::VideoStream;
 
@@ -369,7 +369,7 @@ impl Device {
             let screen = Arc::new(self.renderer.render(&boot, &deco));
             let stream = VideoStream::new(cfg.frame_period);
             let renderer = &self.renderer;
-            Recording { renderer, link, stream, deco, screen, next_frame_at: SimTime::ZERO }
+            Recording { renderer, link, stream, deco, screen }
         });
         let (run, video) = run_quanta(
             &self.machine,
@@ -404,21 +404,13 @@ pub(crate) struct Recording<'a> {
     stream: VideoStream,
     deco: DecorationState,
     screen: Arc<FrameBuffer>,
-    next_frame_at: SimTime,
 }
 
 impl Recording<'_> {
     /// Captures the current screen for every frame due by `qend`.
     fn capture_due(&mut self, qend: SimTime) -> Result<(), DeviceError> {
-        while self.next_frame_at <= qend {
-            let frame = match self.link.as_deref_mut() {
-                Some(l) => l.capture(self.next_frame_at, &self.screen),
-                None => self.screen.clone(),
-            };
-            self.stream.push(self.next_frame_at, frame)?;
-            self.next_frame_at += self.stream.frame_period();
-        }
-        Ok(())
+        let link = self.link.as_deref_mut();
+        Ok(capture_due(&mut self.stream, link, &self.screen, qend)?)
     }
 }
 

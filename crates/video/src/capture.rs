@@ -19,13 +19,12 @@ use interlag_evdev::rng::SplitMix64;
 use interlag_evdev::time::{SimDuration, SimTime};
 
 use crate::frame::FrameBuffer;
+use crate::stream::{VideoError, VideoStream};
 
 /// A device that turns screen contents into captured frames.
 ///
 /// Implementations may transform the pixels (noise, rolling brightness) but
-/// never drop or reorder frames; frame pacing is the caller's job (the
-/// device samples its screen once per frame period and pushes each capture
-/// onto a [`VideoStream`](crate::stream::VideoStream)).
+/// never drop or reorder frames; frame pacing is [`capture_due`]'s job.
 pub trait CaptureLink {
     /// Captures the screen contents `screen` at time `time`.
     fn capture(&mut self, time: SimTime, screen: &FrameBuffer) -> Arc<FrameBuffer>;
@@ -128,9 +127,41 @@ impl CaptureLink for CameraCapture {
     }
 }
 
+/// Records `screen` into `stream` at every frame boundary due by `until`.
+///
+/// The boundaries lie on the stream's frame-period grid from time zero:
+/// the next one is a period after the last captured frame. When the caller
+/// skipped past several boundaries the *current* screen is recorded for
+/// each, as a capture box repeats the live signal. `link` is the capture
+/// path; `None` records `screen` itself, the clean HDMI tap.
+///
+/// # Errors
+///
+/// Propagates [`VideoError`] from [`VideoStream::push`]: a stream whose
+/// frames were pushed off the grid, or a screen whose size changed.
+pub fn capture_due<L: CaptureLink + ?Sized>(
+    stream: &mut VideoStream,
+    mut link: Option<&mut L>,
+    screen: &Arc<FrameBuffer>,
+    until: SimTime,
+) -> Result<(), VideoError> {
+    let period = stream.frame_period();
+    let mut due = stream.times().last().map_or(SimTime::ZERO, |&t| t + period);
+    while due <= until {
+        let frame = match link.as_deref_mut() {
+            Some(l) => l.capture(due, screen),
+            None => screen.clone(),
+        };
+        stream.push(due, frame)?;
+        due += period;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::FRAME_PERIOD_30FPS;
 
     #[test]
     fn hdmi_capture_is_lossless_and_dedups() {
@@ -164,5 +195,34 @@ mod tests {
         let a = CameraCapture::new(11).capture(SimTime::from_secs(2), &screen);
         let b = CameraCapture::new(11).capture(SimTime::from_secs(2), &screen);
         assert_eq!(a.as_ref(), b.as_ref());
+    }
+
+    #[test]
+    fn recorder_samples_at_frame_rate() {
+        let mut video = VideoStream::new(FRAME_PERIOD_30FPS);
+        let mut link = HdmiCapture::new();
+        let screen = Arc::new(FrameBuffer::new(4, 4));
+        // Advance one second in 1 ms steps.
+        for ms in 0..=1_000 {
+            capture_due(&mut video, Some(&mut link), &screen, SimTime::from_millis(ms)).unwrap();
+        }
+        let n = video.len();
+        assert!((30..=32).contains(&n), "expected ~31 frames, got {n}");
+        assert_eq!(video.runs().len(), 1);
+    }
+
+    #[test]
+    fn recorder_catches_up_after_a_stall() {
+        let mut video = VideoStream::new(FRAME_PERIOD_30FPS);
+        let screen = Arc::new(FrameBuffer::new(4, 4));
+        capture_due::<HdmiCapture>(&mut video, None, &screen, SimTime::ZERO).unwrap();
+        // A 1 s stall.
+        capture_due::<HdmiCapture>(&mut video, None, &screen, SimTime::from_secs(1)).unwrap();
+        assert_eq!(video.len(), 31);
+        // Timestamps stay on the frame grid.
+        for f in video.iter() {
+            assert_eq!(f.time.as_micros(), u64::from(f.index) * FRAME_PERIOD_30FPS.as_micros());
+        }
+        assert_eq!(video.slots().len(), 1);
     }
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use interlag_evdev::time::{SimDuration, SimTime};
-use interlag_video::capture::{CameraCapture, CaptureLink, HdmiCapture};
+use interlag_video::capture::{capture_due, CameraCapture, CaptureLink, HdmiCapture};
 use interlag_video::frame::{FrameBuffer, Rect};
 use interlag_video::mask::{Mask, MatchTolerance};
 use interlag_video::stream::{VideoError, VideoStream, FRAME_PERIOD_30FPS};
@@ -165,6 +165,31 @@ proptest! {
                 prop_assert!(a.as_ref() != b.as_ref());
             }
         }
+    }
+
+    /// The recorder produces frames on the exact capture grid regardless
+    /// of the polling cadence.
+    #[test]
+    fn recorder_frames_are_on_the_grid(step_us in 200u64..5_000, span_ms in 100u64..2_000) {
+        let mut video = VideoStream::new(FRAME_PERIOD_30FPS);
+        let mut link = HdmiCapture::new();
+        let screen = Arc::new(FrameBuffer::new(8, 8));
+        let mut t = SimTime::ZERO;
+        let end = SimTime::from_millis(span_ms);
+        while t <= end {
+            capture_due(&mut video, Some(&mut link), &screen, t).unwrap();
+            t += SimDuration::from_micros(step_us);
+        }
+        // Every frame due up to the last poll instant is present, and none
+        // later (the final boundary may fall between the last poll and
+        // `end`).
+        let last_poll = t.as_micros() - step_us;
+        prop_assert_eq!(video.len() as u64, last_poll / 33_333 + 1);
+        for f in video.iter() {
+            prop_assert_eq!(f.time.as_micros(), u64::from(f.index) * 33_333);
+        }
+        // Identical stills collapse into one run over one slot.
+        prop_assert_eq!((video.runs().len(), video.slots().len()), (1, 1));
     }
 
     /// Camera capture noise stays within its configured bound, so the
